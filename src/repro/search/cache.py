@@ -102,15 +102,18 @@ class MemoizingObjective:
     store / store_scope / provenance:
         Optional cross-job persistence: a
         :class:`~repro.search.store.EvaluationStore` (any object with its
-        ``lookup``/``record``/``refresh`` protocol), the space
+        ``lookup``/``record``/``refresh``/``claim`` protocol), the space
         fingerprint scoping this search's entries, and the provenance
-        dict gating which stored records may be served.  Local misses
-        consult the store (re-polling it once for lines a concurrent job
-        appended since the last read); fresh measurements are written
-        back through it.  Store hits count in ``cross_hits`` — not
-        ``hits`` — and are tagged ``meta["cache_scope"] = "cross_job"``
-        so the ledger can attribute them separately from same-job
-        replays.
+        dict gating which stored records may be served.  A local miss
+        the store cannot serve takes the store's cross-process
+        :meth:`~repro.search.store.EvaluationStore.claim` on the key,
+        re-polls the store under it for lines a concurrent job appended
+        since the last read, and measures only if the key is still
+        absent, writing the measurement back before releasing the claim:
+        jobs racing on one key measure it once.  Store hits count in
+        ``cross_hits`` — not ``hits`` — and are tagged
+        ``meta["cache_scope"] = "cross_job"`` so the ledger can attribute
+        them separately from same-job replays.
 
     Cache hits return the stored result with ``meta["cache_hit"] = True``
     added (the original stored meta is not mutated), so accounting code
@@ -172,21 +175,6 @@ class MemoizingObjective:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def _store_lookup(self, key: str):
-        if self.store is None or self.store_scope is None:
-            return None
-        entry = self.store.lookup(
-            self.store_scope, key, provenance=self.provenance
-        )
-        if entry is None:
-            # A concurrent job may have measured this configuration since
-            # our last read — poll the tail once before paying for it.
-            self.store.refresh()
-            entry = self.store.lookup(
-                self.store_scope, key, provenance=self.provenance
-            )
-        return entry
-
     def __call__(self, config: Mapping[str, Any]) -> tuple[float, dict[str, Any]]:
         key = canonical_key(config)
         if key in self._cache:
@@ -198,12 +186,30 @@ class MemoizingObjective:
             raise PermanentFault(
                 f"memoized permanent failure: {self._permanent[key]}"
             )
-        entry = self._store_lookup(key)
-        if entry is not None:
-            self.cross_hits += 1
-            value, meta = float(entry.value), dict(entry.meta)
-            self._cache[key] = (value, meta)
-            return value, {**meta, "cache_hit": True, "cache_scope": "cross_job"}
+        if self.store is None or self.store_scope is None:
+            return self._measure(config, key)
+        entry = self.store.lookup(
+            self.store_scope, key, provenance=self.provenance
+        )
+        if entry is None:
+            # A concurrent job may be measuring this configuration, or
+            # may have measured it since our last read: wait out its
+            # claim, then poll the tail before paying for it.
+            with self.store.claim(self.store_scope, key):
+                self.store.refresh()
+                entry = self.store.lookup(
+                    self.store_scope, key, provenance=self.provenance
+                )
+                if entry is None:
+                    return self._measure(config, key)
+        self.cross_hits += 1
+        value, meta = float(entry.value), dict(entry.meta)
+        self._cache[key] = (value, meta)
+        return value, {**meta, "cache_hit": True, "cache_scope": "cross_job"}
+
+    def _measure(
+        self, config: Mapping[str, Any], key: str
+    ) -> tuple[float, dict[str, Any]]:
         out = self.objective(config)
         if isinstance(out, tuple):
             value, meta = float(out[0]), dict(out[1])

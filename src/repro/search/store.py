@@ -28,6 +28,9 @@ Design constraints, in order:
 * **O(1) appends, incremental reads.**  Appending never rewrites the
   file; :meth:`refresh` reads only bytes past the last consumed offset,
   so polling the store on a cache miss is cheap even when it is large.
+* **Single-flight misses.**  :meth:`EvaluationStore.claim` serializes
+  processes that miss the same key at the same moment, so a
+  configuration is measured once service-wide, not once per racing job.
 
 The store object is picklable (handles are dropped and lazily reopened)
 so it can ride a job spec into a forked worker.
@@ -35,9 +38,12 @@ so it can ride a job spec into a forked worker.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -182,6 +188,8 @@ class EvaluationStore:
     ``os.write`` on an ``O_APPEND`` descriptor.  Readers only consume
     newline-terminated lines and re-poll the tail on the next
     :meth:`refresh`, so a half-visible line is never mis-parsed.
+    Writers that must not duplicate a measurement take a :meth:`claim`
+    on its key first.
     """
 
     def __init__(self, path: str | os.PathLike, *, fsync: bool = True):
@@ -191,6 +199,7 @@ class EvaluationStore:
         self._index: dict[tuple[str, str], StoredEvaluation] = {}
         self._offset = 0
         self._fd: int | None = None
+        self._claim_fd: int | None = None
         self._repaired = False
         self.refresh()
 
@@ -294,6 +303,35 @@ class EvaluationStore:
             return [e for (s, _), e in self._index.items() if s == space]
 
     # -- writing -------------------------------------------------------
+    @contextmanager
+    def claim(self, space: str, key: str) -> Iterator[None]:
+        """Hold an exclusive cross-process claim on ``(space, key)``.
+
+        A caller about to measure a key the store lacks takes the claim,
+        re-polls the store under it, and measures only if the key is
+        still absent: of several processes that miss one key at the same
+        moment, the first measures and records it while the others block
+        here, then find it on their re-poll.  The claim is a one-byte
+        ``fcntl.lockf`` lock in the sidecar file ``<path>.lock`` at an
+        offset hashed from the pair, so the OS drops it when its holder
+        dies and a killed worker never wedges a key.  Keys that hash to
+        one offset merely serialize.  Record locks belong to a process:
+        threads of one process do not exclude each other, and closing
+        another store on the same path in that process drops its claims.
+        """
+        offset = zlib.crc32(f"{space}\n{key}".encode())
+        with self._lock:
+            if self._claim_fd is None:
+                self._claim_fd = os.open(
+                    self.path + ".lock", os.O_RDWR | os.O_CREAT, 0o644
+                )
+            fd = self._claim_fd
+        fcntl.lockf(fd, fcntl.LOCK_EX, 1, offset)
+        try:
+            yield
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN, 1, offset)
+
     def record(
         self,
         space: str,
@@ -360,9 +398,10 @@ class EvaluationStore:
 
     def close(self) -> None:
         with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+            for fd in (self._fd, self._claim_fd):
+                if fd is not None:
+                    os.close(fd)
+            self._fd = self._claim_fd = None
 
     # -- pickling (store objects ride job specs into workers) ----------
     def __getstate__(self) -> dict[str, Any]:

@@ -338,7 +338,11 @@ def _run_campaign_job(
         checkpoint_dir=os.path.join(workdir, "checkpoints"),
         telemetry=telemetry,
     )
-    result = campaign.run()
+    try:
+        result = campaign.run()
+    finally:
+        if store is not None:
+            store.close()  # a pooled worker runs many jobs: no fd leaks
     out = _final_result(spec, result.combined_config, result.searches, {})
     return _attach_memo_stats(out, result.searches)
 
@@ -387,7 +391,11 @@ def _run_methodology_job(
         telemetry=telemetry,
         random_state=int(spec.params.get("seed", 0)),
     )
-    result = tm.run()
+    try:
+        result = tm.run()
+    finally:
+        if store is not None:
+            store.close()
     out = _final_result(
         spec,
         result.best_config,

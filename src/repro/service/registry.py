@@ -30,6 +30,7 @@ publishing into a successor's lease.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import tempfile
@@ -223,9 +224,19 @@ class JobRegistry:
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.RLock()
         self._jobs: dict[str, JobRecord] = {}
+        # Query indexes, kept in step with every record's state by
+        # _set_state and rebuilt after recovery: the FIFO queue as sorted
+        # ``(submitted_seq, job_id)`` pairs, and active-job counts per
+        # state and per tenant.  They make the supervisor's per-tick and
+        # admission queries independent of how many jobs ever ran.
+        self._queue: list[tuple[int, str]] = []
+        self._active_by_state: dict[str, int] = {}
+        self._active_by_tenant: dict[str, int] = {}
         self._seq = 0
         self._recovered_torn_tail = False
         self._recover()
+        for rec in self._jobs.values():
+            self._index(rec, 1)
         self._wal = open(self.wal_path, "a")
         if self._wal.tell() == 0:
             self._append_raw(
@@ -272,6 +283,34 @@ class JobRegistry:
 
     def _apply(self, event: Mapping[str, Any]) -> None:
         replay_wal_event(self._jobs, event)
+
+    # -- query indexes -------------------------------------------------
+    def _index(self, rec: JobRecord, sign: int) -> None:
+        """Add (``sign=1``) or remove (``sign=-1``) ``rec`` under its
+        current state in the query indexes."""
+        if rec.state == JobState.QUEUED:
+            entry = (rec.submitted_seq, rec.job_id)
+            if sign > 0:
+                bisect.insort(self._queue, entry)
+            else:
+                del self._queue[bisect.bisect_left(self._queue, entry)]
+        if rec.state in JobState.ACTIVE:
+            for counts, key in (
+                (self._active_by_state, rec.state),
+                (self._active_by_tenant, rec.spec.tenant),
+            ):
+                n = counts.get(key, 0) + sign
+                if n:
+                    counts[key] = n
+                else:
+                    del counts[key]
+
+    def _set_state(self, rec: JobRecord, state: str) -> None:
+        """The single state-change point of a live registry (replay
+        assigns states directly and the indexes are rebuilt after it)."""
+        self._index(rec, -1)
+        rec.state = state
+        self._index(rec, 1)
 
     @property
     def recovered_torn_tail(self) -> bool:
@@ -366,7 +405,7 @@ class JobRegistry:
                     "error": error,
                 }
             )
-            rec.state = state
+            self._set_state(rec, state)
             rec.epoch = epoch
             rec.attempt = attempt
             rec.owner = owner
@@ -437,21 +476,18 @@ class JobRegistry:
     def queued(self) -> list[JobRecord]:
         """FIFO queue: queued jobs, oldest submission first."""
         with self._lock:
-            return [r for r in self.jobs() if r.state == JobState.QUEUED]
+            return [self._jobs[job_id] for _, job_id in self._queue]
 
     def queue_depth(self) -> int:
         with self._lock:
-            return sum(1 for r in self._jobs.values() if r.state == JobState.QUEUED)
+            return len(self._queue)
 
     def active_count(self, tenant: str | None = None) -> int:
         """Jobs occupying service capacity (queued/leased/running)."""
         with self._lock:
-            return sum(
-                1
-                for r in self._jobs.values()
-                if r.state in JobState.ACTIVE
-                and (tenant is None or r.spec.tenant == tenant)
-            )
+            if tenant is None:
+                return sum(self._active_by_state.values())
+            return self._active_by_tenant.get(tenant, 0)
 
     # -- compaction / shutdown -----------------------------------------
     def compact(self) -> None:

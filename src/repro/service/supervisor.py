@@ -10,12 +10,14 @@ parent of every worker.  One job at a time per worker slot:
 2. **Run** — the worker process executes :func:`repro.service.jobs.run_job`
    with every checkpoint scoped under the workdir, heartbeating a
    counter file from a daemon thread.
-3. **Supervise** — the supervisor polls worker liveness and heartbeats.
-   A worker that misses ``max_missed`` heartbeat intervals is SIGKILLed
-   *first*, then the job is requeued with a bumped epoch and the fence
-   rewritten — kill-then-fence, so even an unkillable zombie (SIGKILL
-   lost to an unreachable node in a real deployment) is fenced out of
-   the checkpoint scope before a successor leases the job.
+3. **Supervise** — the supervisor checks worker liveness and heartbeats
+   whenever a worker finishes or dies, and at least every
+   ``poll_interval`` (see :meth:`Supervisor.run`).  A worker that
+   misses ``max_missed`` heartbeat intervals is SIGKILLed *first*, then
+   the job is requeued with a bumped epoch and the fence rewritten —
+   kill-then-fence, so even an unkillable zombie (SIGKILL lost to an
+   unreachable node in a real deployment) is fenced out of the
+   checkpoint scope before a successor leases the job.
 4. **Collect** — exit code 0 plus a result carrying the lease's epoch is
    ``done``; a drained worker requeues; a fenced worker is dropped (its
    successor owns the job); anything else is ``worker_lost`` and
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import sys
@@ -129,6 +132,13 @@ class Lease:
     @property
     def pid(self) -> int | None:
         return self.process.pid if self.process is not None else None
+
+    @property
+    def handle(self) -> Any:
+        """What becomes readable when the attempt ends: the slot's pipe
+        (an exit code, or EOF if its worker died) or the per-job
+        worker's process sentinel."""
+        return self.slot.conn if self.slot is not None else self.process.sentinel
 
 
 class Supervisor:
@@ -238,6 +248,12 @@ class Supervisor:
             os.unlink(self.drain_path)
         self._lock = threading.RLock()
         self._leases: dict[str, Lease] = {}
+        # Write end of the pipe a running run() loop waits on; None when
+        # no loop runs.  Its own re-entrant lock: request_drain() signals
+        # it from the SIGTERM handler, which may interrupt the main
+        # thread inside run() while that holds the lock.
+        self._wake_fd: int | None = None
+        self._wake_lock = threading.RLock()
         self._mp = multiprocessing.get_context("fork")
         self.pool: SharedWorkerPool | None = None
         if pool_size is not None:
@@ -279,6 +295,7 @@ class Supervisor:
                     "job_submitted", job=rec.job_id, tenant=rec.spec.tenant,
                     kind=rec.spec.kind,
                 )
+                self._wake()
             else:
                 rec = self.registry.submit(spec, reject_reason=decision.reason)
                 self.tracer.event(
@@ -293,7 +310,8 @@ class Supervisor:
 
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a job: queued jobs immediately, running jobs at the
-        next supervision tick (fence, kill, record ``cancelled``)."""
+        next supervision tick (fence, kill, record ``cancelled``), which
+        this wakes."""
         with self._lock:
             rec = self.registry.get(job_id)
             if rec.state == JobState.QUEUED:
@@ -305,6 +323,7 @@ class Supervisor:
             lease = self._leases.get(job_id)
             if lease is not None:
                 lease.cancel_requested = True
+                self._wake()
             return rec
 
     # -- drain ---------------------------------------------------------
@@ -321,6 +340,7 @@ class Supervisor:
             f.write("drain\n")
         self.tracer.event("drain_started")
         logger.info("drain requested: no new leases; waiting for workers")
+        self._wake()
 
     def install_signal_handlers(self) -> None:
         """SIGTERM -> graceful drain (main thread only)."""
@@ -354,26 +374,64 @@ class Supervisor:
     ) -> bool:
         """Supervise until drained (or idle, with ``drain_when_idle``).
 
+        Between ticks the loop blocks in one
+        :func:`multiprocessing.connection.wait` on every handle whose
+        readiness makes a tick useful: each busy pool slot's pipe (an
+        exit code, or EOF when its worker dies), each per-job worker's
+        process sentinel, and a wake pipe that :meth:`submit`,
+        :meth:`cancel` and :meth:`request_drain` write to.  A finished
+        job is collected, and a new submission leased, as soon as it
+        happens.  A stalled worker signals nothing, so ``poll_interval``
+        bounds the wait: it is the longest time between heartbeat,
+        lease-expiry and cancel checks.
+
         Returns ``True`` on a clean exit, ``False`` on ``max_seconds``
         expiry (leases may still be active).
         """
         started = time.monotonic()
-        while True:
-            busy = self.tick()
-            if self.draining and not self._leases:
-                self.tracer.event("drained")
-                logger.info("drained: all workers stopped, queue persisted")
-                self.close_pool()
-                return True
-            if drain_when_idle and not busy and not self.draining:
-                self.close_pool()
-                return True
-            if (
-                max_seconds is not None
-                and time.monotonic() - started > max_seconds
-            ):
-                return False
-            time.sleep(poll_interval)
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_r, False)
+        os.set_blocking(wake_w, False)
+        with self._wake_lock:
+            self._wake_fd = wake_w
+        try:
+            while True:
+                busy = self.tick()
+                if self.draining and not self._leases:
+                    self.tracer.event("drained")
+                    logger.info("drained: all workers stopped, queue persisted")
+                    self.close_pool()
+                    return True
+                if drain_when_idle and not busy and not self.draining:
+                    self.close_pool()
+                    return True
+                if (
+                    max_seconds is not None
+                    and time.monotonic() - started > max_seconds
+                ):
+                    return False
+                # Rebuilt every pass: a respawned slot has a new pipe.
+                with self._lock:
+                    handles = [lease.handle for lease in self._leases.values()]
+                ready = multiprocessing.connection.wait(
+                    [wake_r, *handles], poll_interval
+                )
+                if wake_r in ready:
+                    os.read(wake_r, 4096)  # the next tick serves every wake
+        finally:
+            with self._wake_lock:
+                self._wake_fd = None
+            os.close(wake_w)
+            os.close(wake_r)
+
+    def _wake(self) -> None:
+        """Wake the :meth:`run` loop's wait (no-op when none runs)."""
+        with self._wake_lock:
+            if self._wake_fd is not None:
+                try:
+                    os.write(self._wake_fd, b"w")
+                except BlockingIOError:  # pipe full: a wake is pending
+                    pass
 
     # -- leasing -------------------------------------------------------
     def _workdir(self, job_id: str) -> str:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +178,65 @@ class TestConcurrentWriters:
                 assert entry is not None and entry.value == float(i)
         for raw in open(path):  # no torn or interleaved bytes
             json.loads(raw)
+
+
+def _measure_one_key(path, calls, barrier):
+    """Miss one key right after the barrier releases both racers."""
+
+    def slow(config):
+        with open(calls, "a") as f:
+            f.write("measured\n")
+        time.sleep(0.3)
+        return 2.0 * config["x"], {}
+
+    memo = MemoizingObjective(
+        slow, store=EvaluationStore(path), store_scope="fp", provenance=DET
+    )
+    barrier.wait()
+    assert memo({"x": 7})[0] == 14.0
+
+
+class TestSingleFlightMisses:
+    @pytest.mark.parametrize("n_racers", [2, 4])
+    def test_racing_processes_measure_a_key_once(self, tmp_path, n_racers):
+        """Racing processes miss one key at the same moment.  The first
+        claims it and measures; the others wait out the claim and are
+        served its record."""
+        path, calls = str(tmp_path / "s.jsonl"), str(tmp_path / "calls")
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(n_racers)
+        racers = [
+            ctx.Process(target=_measure_one_key, args=(path, calls, barrier))
+            for _ in range(n_racers)
+        ]
+        for p in racers:
+            p.start()
+        for p in racers:
+            p.join(60)
+        assert [p.exitcode for p in racers] == [0] * n_racers
+        with open(calls) as f:
+            assert f.read().count("measured") == 1
+        with open(path) as f:
+            lines = [json.loads(raw) for raw in f]
+        assert len([d for d in lines if "format" not in d]) == 1
+
+    def test_claim_is_released_when_its_holder_dies(self, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        ctx = multiprocessing.get_context("fork")
+        held = ctx.Event()
+
+        def hold_forever():
+            with EvaluationStore(path).claim("fp", key(1)):
+                held.set()
+                time.sleep(60)
+
+        holder = ctx.Process(target=hold_forever)
+        holder.start()
+        assert held.wait(30)
+        holder.kill()
+        holder.join()
+        with EvaluationStore(path).claim("fp", key(1)):
+            pass  # would block forever if the dead holder kept the claim
 
 
 class TestSpaceFingerprint:

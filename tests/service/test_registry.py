@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -179,6 +180,59 @@ class TestCompaction:
             assert reg.get("done-job").state == JobState.DONE
 
 
+TENANTS = ("t0", "t1", "t2")
+
+
+def assert_indexes_match(reg):
+    recs = reg.jobs()  # full scan, submission order
+    queued = [r.job_id for r in recs if r.state == JobState.QUEUED]
+    active = [r.spec.tenant for r in recs if r.state in JobState.ACTIVE]
+    assert [r.job_id for r in reg.queued()] == queued
+    assert reg.queue_depth() == len(queued)
+    assert reg.active_count() == len(active)
+    for tenant in TENANTS:
+        assert reg.active_count(tenant) == active.count(tenant)
+
+
+def random_ops(reg, rng, n):
+    """``n`` random legal operations, checking the indexes after each."""
+    active = (JobState.QUEUED, JobState.LEASED, JobState.RUNNING)
+    for _ in range(n):
+        op = rng.choice(
+            ["submit", "submit", "reject", "lease", "running", "requeue",
+             "done", "fail", "cancel"]
+        )
+        if op in ("submit", "reject"):
+            reg.submit(
+                spec(tenant=rng.choice(TENANTS)),
+                reject_reason="queue_full" if op == "reject" else None,
+            )
+        else:
+            states = {
+                "lease": (JobState.QUEUED,),
+                "running": (JobState.LEASED,),
+                "requeue": (JobState.LEASED, JobState.RUNNING),
+                "done": (JobState.RUNNING,),
+                "fail": active,
+                "cancel": active,
+            }[op]
+            picks = [r.job_id for r in reg.jobs() if r.state in states]
+            if not picks:
+                continue
+            job_id = rng.choice(picks)
+            if op == "lease":
+                reg.lease(job_id, owner="w0")
+            elif op == "requeue":
+                reg.requeue(job_id, "lease_expired")
+            else:
+                state = {
+                    "running": JobState.RUNNING, "done": JobState.DONE,
+                    "fail": JobState.FAILED, "cancel": JobState.CANCELLED,
+                }[op]
+                reg.transition(job_id, state)
+        assert_indexes_match(reg)
+
+
 class TestQueries:
     def test_fifo_queue_and_counts(self, tmp_path):
         with JobRegistry(tmp_path) as reg:
@@ -195,6 +249,26 @@ class TestQueries:
             assert len(reg) == 3
             with pytest.raises(KeyError, match="unknown job"):
                 reg.get("z")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_indexes_match_brute_force_scans(self, tmp_path, seed):
+        """The queue and active-count indexes agree with full scans after
+        every random transition, across compaction, snapshot load + WAL
+        replay, and a torn WAL tail."""
+        rng = random.Random(seed)
+        with JobRegistry(tmp_path) as reg:
+            random_ops(reg, rng, 150)
+            reg.compact()
+            random_ops(reg, rng, 60)
+        with JobRegistry(tmp_path) as reg:
+            assert_indexes_match(reg)
+            random_ops(reg, rng, 60)
+        wal = tmp_path / WAL_NAME
+        wal.write_bytes(wal.read_bytes()[:-7])  # power cut mid-event
+        with JobRegistry(tmp_path) as reg:
+            assert reg.recovered_torn_tail
+            assert_indexes_match(reg)
+            random_ops(reg, rng, 30)
 
     def test_close_is_idempotent(self, tmp_path):
         reg = JobRegistry(tmp_path)

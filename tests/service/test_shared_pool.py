@@ -14,6 +14,7 @@ import glob
 import json
 import os
 import signal
+import threading
 import time
 
 from repro.bo.history import EvaluationDatabase
@@ -64,6 +65,15 @@ def tick_until(supervisor, predicate, timeout=60.0, poll=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         supervisor.tick()
+        if predicate():
+            return
+        time.sleep(poll)
+    raise AssertionError("condition not reached within timeout")
+
+
+def wait_until(predicate, timeout=60.0, poll=0.005):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
         if predicate():
             return
         time.sleep(poll)
@@ -170,6 +180,70 @@ class TestPooledWorkerKill:
         assert counters.get("service_pool_respawns{reason=worker_lost}", 0) >= 1
         sup.close_pool()
         registry.close()
+
+
+class TestRunLoopUnderFaults:
+    """The kill and stall tests above drive ``tick()`` by hand; these
+    drive ``run()``, so the loop's blocking wait itself must notice the
+    fault: a stopped worker by timing out, a killed one by EOF."""
+
+    def run_slow_job(self, tmp_path, fault, poll_interval, **kw):
+        """Run one SLOW job under ``run()``, apply ``fault`` to its
+        worker once it has checkpointed, and return the seconds until the
+        registry moved the job to a new epoch (the faulted lease ended)
+        plus the service's counters.  The job must still finish
+        bit-identically, exactly once per evaluation."""
+        params = dict(SLOW)
+        reference = baseline_fingerprint(tmp_path, params)
+        registry, sup, tel = make_service(tmp_path, pool_size=2, **kw)
+        jobs_dir = str(tmp_path / "jobs")
+        loop = threading.Thread(
+            target=sup.run, kwargs={"poll_interval": poll_interval},
+            daemon=True,
+        )
+        loop.start()
+        try:
+            rec, _ = sup.submit(jspec(params))
+            wait_until(lambda: checkpoint_records(jobs_dir, rec.job_id))
+            time.sleep(chaos_uniform(700, 0.0, 0.1))
+            lease = sup.active_leases()[0]
+            os.kill(lease.pid, fault)
+            t0 = time.monotonic()
+            wait_until(lambda: registry.get(rec.job_id).epoch > lease.epoch)
+            ended_after = time.monotonic() - t0
+            wait_until(lambda: registry.get(rec.job_id).state == JobState.DONE)
+        finally:
+            sup.request_drain()
+            loop.join(60)
+        assert not loop.is_alive()
+        done = registry.get(rec.job_id)
+        assert done.result["fingerprint"] == reference
+        evals = checkpoint_records(jobs_dir, rec.job_id)
+        assert len(evals) == params["budget"]
+        configs = [tuple(sorted(r.config.items())) for r in evals]
+        assert len(set(configs)) == len(configs), "duplicated evaluations"
+        registry.close()
+        return ended_after, tel.metrics.snapshot()["counters"]
+
+    def test_sigstopped_worker_expires_when_the_wait_times_out(self, tmp_path):
+        hb, missed, poll = 0.05, 4, 0.1
+        ended_after, counters = self.run_slow_job(
+            tmp_path, signal.SIGSTOP, poll,
+            heartbeat_interval=hb, max_missed=missed,
+        )
+        # The last beat may be seen up to one poll late, and expiry is
+        # checked up to one poll after the deadline: one poll of slack
+        # beyond the bound, plus scheduling noise.
+        assert ended_after < missed * hb + poll + poll + 0.5
+        assert counters["service_leases_expired"] >= 1
+        assert counters["service_pool_respawns{reason=expired}"] >= 1
+
+    def test_sigkilled_worker_wakes_the_loop_by_eof(self, tmp_path):
+        # A 5 s poll and a 2 s heartbeat deadline: only EOF on the
+        # slot's pipe can end the lease within a second.
+        ended_after, counters = self.run_slow_job(tmp_path, signal.SIGKILL, 5.0)
+        assert ended_after < 1.0
+        assert counters["service_pool_respawns{reason=worker_lost}"] >= 1
 
 
 class TestDrainUnderPool:

@@ -1,7 +1,9 @@
-"""Lease supervision: completion, expiry, drain, cancel, recovery."""
+"""Lease supervision: completion, expiry, drain, cancel, recovery, and
+the event-driven ``run()`` loop."""
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -52,6 +54,31 @@ def tick_until(supervisor, predicate, timeout=30.0, poll=0.01):
             return
         time.sleep(poll)
     raise AssertionError("condition not reached within timeout")
+
+
+def wait_until(predicate, timeout=30.0, poll=0.005):
+    """Poll ``predicate`` from the test thread while ``run()`` supervises."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(poll)
+    raise AssertionError("condition not reached within timeout")
+
+
+def start_run(supervisor, poll_interval):
+    loop = threading.Thread(
+        target=supervisor.run, kwargs={"poll_interval": poll_interval},
+        name="supervisor-run", daemon=True,
+    )
+    loop.start()
+    return loop
+
+
+def stop_run(supervisor, loop):
+    supervisor.request_drain()
+    loop.join(60)
+    assert not loop.is_alive()
 
 
 def event_names(telemetry):
@@ -223,6 +250,80 @@ class TestDrain:
         assert registry2.get(second.job_id).state == JobState.DONE
         assert registry2.get(first.job_id).result["fingerprint"] == reference
         registry2.close()
+
+
+#: The two worker modes every wake-up test covers.
+WORKER_MODES = pytest.mark.parametrize(
+    "mode", [{"pool_size": 1}, {"workers": 1}], ids=["pooled", "per-job"]
+)
+
+
+class TestEventDrivenLoop:
+    """``run()`` blocks on worker pipes, process sentinels and a wake
+    channel, so with a 5 s ``poll_interval`` a job is still leased as
+    soon as it is submitted and collected as soon as it finishes.  A
+    loop that slept between ticks would take at least one full poll for
+    each."""
+
+    POLL = 5.0
+
+    @WORKER_MODES
+    def test_submit_to_done_without_waiting_for_a_poll(self, tmp_path, mode):
+        registry, sup, _ = make_service(tmp_path, **mode)
+        loop = start_run(sup, self.POLL)
+        try:
+            time.sleep(0.2)  # the loop is now blocked in its wait
+            t0 = time.monotonic()
+            rec, _ = sup.submit(jspec())
+            wait_until(
+                lambda: registry.get(rec.job_id).state == JobState.DONE
+            )
+            elapsed = time.monotonic() - t0
+        finally:
+            stop_run(sup, loop)
+        assert elapsed < 1.0
+        assert registry.get(rec.job_id).result["fingerprint"] == (
+            baseline_fingerprint(tmp_path)
+        )
+        registry.close()
+
+    @WORKER_MODES
+    def test_cancel_wakes_the_loop(self, tmp_path, mode):
+        registry, sup, _ = make_service(tmp_path, **mode)
+        loop = start_run(sup, self.POLL)
+        try:
+            rec, _ = sup.submit(jspec(SLOW))
+            wait_until(
+                lambda: registry.get(rec.job_id).state == JobState.RUNNING
+            )
+            time.sleep(0.1)  # the loop is blocked in its wait again
+            t0 = time.monotonic()
+            sup.cancel(rec.job_id)
+            wait_until(
+                lambda: registry.get(rec.job_id).state == JobState.CANCELLED,
+                timeout=10.0,
+            )
+            elapsed = time.monotonic() - t0
+        finally:
+            stop_run(sup, loop)
+        assert elapsed < 1.0
+        assert not sup.active_leases()
+        registry.close()
+
+    @WORKER_MODES
+    def test_wake_channel_does_not_leak(self, tmp_path, mode):
+        def fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = fds()
+        registry, sup, _ = make_service(tmp_path, **mode)
+        loop = start_run(sup, self.POLL)
+        rec, _ = sup.submit(jspec())
+        wait_until(lambda: registry.get(rec.job_id).state == JobState.DONE)
+        stop_run(sup, loop)
+        sup.close_pool()
+        registry.close()
+        assert fds() == before
 
 
 class TestRecovery:
