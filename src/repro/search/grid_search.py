@@ -11,7 +11,6 @@ budget samples a stratified subset of grid points instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Iterator, Mapping
 
@@ -101,14 +100,25 @@ class GridSearch:
         return math.prod(len(a) for a in self._axes())
 
     def _iter_grid(self) -> Iterator[dict[str, Any]]:
+        """Every ``stride``-th point of the grid in ``itertools.product``
+        order (last axis fastest).
+
+        Each kept flat index is decoded straight into per-axis digits
+        (mixed radix), so the cost is per point kept, not per grid point
+        skipped: a 20-dim grid of 4^20 points yields its 16 budgeted
+        points at once instead of walking 10^12 tuples.
+        """
         names = self.space.names
-        total = self.grid_size()
+        axes = self._axes()
+        total = math.prod(len(a) for a in axes)
         budget = self.max_evaluations or total
         stride = max(1, total // budget)
-        for i, combo in enumerate(itertools.product(*self._axes())):
-            if i % stride:
-                continue
-            yield dict(zip(names, combo))
+        for flat in range(0, total, stride):
+            combo, rest = [], flat
+            for axis in reversed(axes):
+                rest, digit = divmod(rest, len(axis))
+                combo.append(axis[digit])
+            yield dict(zip(names, reversed(combo)))
 
     def _complete(self, config: Mapping[str, Any]) -> dict[str, Any]:
         complete = getattr(self.space, "complete", None)

@@ -29,6 +29,7 @@ uniform feasible fallback for that single index.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Sequence
 
 import numpy as np
@@ -115,6 +116,8 @@ class QMCSampler(BaseSampler):
         self._sobol_seed: int | None = None
         self._halton: _ScrambledHalton | None = None
         self._dim: int | None = None
+        self._sobol = None  # scrambled engine, positioned after ``_last``
+        self._last: tuple[int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def prepare(self, space, seed_seq: np.random.SeedSequence) -> None:
@@ -122,10 +125,14 @@ class QMCSampler(BaseSampler):
 
         Called once per run *and* once per resume with the same seed
         material, so the scrambled sequence — and therefore every
-        proposal — is identical across a kill-and-resume boundary.
+        proposal — is identical across a kill-and-resume boundary.  It
+        also drops the cached engine and the remembered last point, so
+        nothing from before a resume (or a dimension change) survives.
         """
         rng = np.random.default_rng(seed_seq)
         self._dim = space.dimension
+        self._sobol = None
+        self._last = None
         use_sobol = self.engine != "halton" and _scipy_qmc is not None
         if use_sobol:
             self._sobol_seed = int(rng.integers(0, 2**63))
@@ -135,21 +142,36 @@ class QMCSampler(BaseSampler):
             self._halton = _ScrambledHalton(space.dimension, rng)
 
     def _point(self, index: int) -> np.ndarray:
-        if self._sobol_seed is not None:
-            import warnings
+        """Point ``index`` of the scrambled sequence, as a fresh array.
 
-            sob = _scipy_qmc.Sobol(
-                d=self._dim, scramble=True, seed=self._sobol_seed
-            )
-            if index:
-                sob.fast_forward(index)
+        The point is a function of the scramble seed alone: the
+        cached Sobol' engine serves the next index in one step, and any
+        other index rebuilds it (construct, then fast-forward), which is
+        the same computation the cache stands in for.  The last point is
+        remembered, so the driver's same-index re-asks after an
+        infeasible proposal cost a copy, not a rebuild.
+        """
+        if self._last is not None and self._last[0] == index:
+            return self._last[1].copy()
+        if self._sobol_seed is not None:
+            engine = self._sobol
+            if engine is None or index != self._last[0] + 1:
+                engine = _scipy_qmc.Sobol(
+                    d=self._dim, scramble=True, seed=self._sobol_seed
+                )
+                if index:
+                    engine.fast_forward(index)
             with warnings.catch_warnings():
                 # One point at a time is the whole design here; silence
                 # scipy's power-of-two balance advisory.
                 warnings.simplefilter("ignore", UserWarning)
-                return sob.random(1)[0]
-        assert self._halton is not None
-        return self._halton.point(index)
+                point = engine.random(1)[0]
+            self._sobol = engine
+        else:
+            assert self._halton is not None
+            point = self._halton.point(index)
+        self._last = (index, point)
+        return point.copy()
 
     def suggest(
         self, history: Sequence, space, rng: np.random.Generator

@@ -33,7 +33,7 @@ declared before their children.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -203,8 +203,11 @@ class ConditionalSpace(SearchSpace):
     # ------------------------------------------------------------------
     # Sampling and decoding: mask at every production site
     # ------------------------------------------------------------------
-    def _raw_batch(self, n: int, rng: np.random.Generator) -> list[dict[str, Any]]:
-        return [self.mask(cfg) for cfg in super()._raw_batch(n, rng)]
+    def _raw_batch(
+        self, n: int, rng: np.random.Generator
+    ) -> Iterator[dict[str, Any]]:
+        # Masked row by row, as the caller reaches each row.
+        return map(self.mask, super()._raw_batch(n, rng))
 
     def _repair_batch(
         self, configs: list[dict[str, Any]], rng: np.random.Generator, *, rounds: int = 40

@@ -15,7 +15,7 @@ and provides the primitives every engine in this package builds on:
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -131,12 +131,19 @@ class SearchSpace:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _raw_batch(self, n: int, rng: np.random.Generator) -> list[dict[str, Any]]:
+    def _raw_batch(
+        self, n: int, rng: np.random.Generator
+    ) -> Iterator[dict[str, Any]]:
         """``n`` unconstrained configurations via one vectorized draw per
-        parameter (constraints not yet applied)."""
+        parameter (constraints not yet applied).
+
+        The draws happen here, eagerly; each configuration dict is built
+        only when the caller's iteration reaches its row, so a caller
+        that stops early never pays for the rest of the chunk.
+        """
         columns = [p.sample_batch(n, rng) for p in self.parameters]
         names = self.names
-        return [dict(zip(names, row)) for row in zip(*columns)]
+        return (dict(zip(names, row)) for row in zip(*columns))
 
     def _repair_batch(
         self, configs: list[dict[str, Any]], rng: np.random.Generator, *, rounds: int = 40
@@ -205,6 +212,14 @@ class SearchSpace:
         sampling: whole chunks are drawn per parameter, then filtered
         through the constraints).
 
+        Each chunk's rows are walked once: a row's configuration is
+        built when it is reached, its constraints are checked once, and
+        the walk stops at ``n`` accepted.  The random draws are the whole
+        chunk's either way, so where the walk stops never moves a later
+        draw.  Repair sampling (:meth:`_repair_batch`) redraws the
+        chunk's invalid rows only when the whole chunk yielded fewer
+        valid rows than ``min(chunk, n - accepted so far)``.
+
         With ``unique=True`` duplicates (by parameter values) are
         filtered, falling back to returning fewer than ``n`` when the
         feasible set is smaller than requested.
@@ -213,25 +228,40 @@ class SearchSpace:
             raise ValueError("n must be >= 1")
         out: list[dict[str, Any]] = []
         seen: set[tuple] = set()
+        names = self.names
+
+        def accept(cfg: dict[str, Any]) -> bool:
+            """Append ``cfg`` unless it repeats; True once ``out`` is full."""
+            if unique:
+                key = tuple(cfg[k] for k in names)
+                if key in seen:
+                    return False
+                seen.add(key)
+            out.append(cfg)
+            return len(out) >= n
+
         attempts = 0
         chunk = max(64, 2 * n)
         while len(out) < n and attempts < max_rejects:
             take = min(chunk, max_rejects - attempts)
             attempts += take
-            raw = self._raw_batch(take, rng)
-            valid = [cfg for cfg in raw if self._constraints_ok(cfg)]
-            if len(valid) < min(take, n - len(out)):
-                invalid = [cfg for cfg in raw if not self._constraints_ok(cfg)]
-                valid.extend(self._repair_batch(invalid, rng))
-            for cfg in valid:
-                if unique:
-                    key = tuple(cfg[k] for k in self.names)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                out.append(cfg)
-                if len(out) >= n:
+            need = min(take, n - len(out))
+            n_valid = 0
+            invalid: list[dict[str, Any]] = []
+            for cfg in self._raw_batch(take, rng):
+                if not self._constraints_ok(cfg):
+                    invalid.append(cfg)
+                    continue
+                n_valid += 1
+                if accept(cfg):
                     break
+            else:
+                # Only a walk that did not fill ``out`` gets here: one
+                # that stops early has seen at least ``need`` valid rows.
+                if n_valid < need:
+                    for cfg in self._repair_batch(invalid, rng):
+                        if accept(cfg):
+                            break
             chunk = min(4 * chunk, 8192)
         if not out:
             raise InfeasibleSpaceError(

@@ -114,37 +114,40 @@ class JsonlTailer:
     def _collect_segments(self) -> list[_Segment]:
         """Open every on-disk segment, oldest first, dedup'd by inode.
 
-        Holding fds (not paths) makes the subsequent reads immune to the
-        writer renaming files mid-poll.  The index scan tolerates a few
-        consecutive missing names: a rotation's rename chain in flight
-        (``.i`` -> ``.i+1``) leaves a transient hole in the sequence,
-        and stopping at it would hide every older segment.
+        Each name is opened as soon as the scan reaches it, and the scan
+        runs from ``.1`` upward, against the writer's rename chain
+        (``.i`` -> ``.i+1``, oldest first).  A segment the chain moves
+        mid-scan is then met twice (the second fd is dropped by inode),
+        never skipped; a scan in the chain's own direction can open
+        ``.i`` just before the chain refills it and ``.i-1`` just after,
+        missing the segment in between.  Holding fds (not paths) makes
+        the reads immune to later renames.  The scan tolerates a few
+        consecutive missing names: a rename chain in flight leaves a
+        transient hole in the sequence, and stopping at it would hide
+        every older segment.
         """
-        named: list[tuple[str, bool]] = []
-        i, misses = 1, 0
-        while misses < 4:
-            name = f"{self.path}.{i}"
-            if os.path.exists(name):
-                named.append((name, False))
-                misses = 0
-            else:
-                misses += 1
-            i += 1
-        named.reverse()  # .N (oldest) .. .1 (newest rotation)
-        named.append((self.path, True))
         segments: list[_Segment] = []
         seen: set[int] = set()
-        for name, is_current in named:
+
+        def add(name: str, is_current: bool) -> bool:
             try:
                 fd = os.open(name, os.O_RDONLY)
             except FileNotFoundError:
-                continue  # renamed away between exists() and open()
+                return False
             ino = os.fstat(fd).st_ino
             if ino in seen:
                 os.close(fd)
-                continue
-            seen.add(ino)
-            segments.append(_Segment(fd, ino, is_current))
+            else:
+                seen.add(ino)
+                segments.append(_Segment(fd, ino, is_current))
+            return True
+
+        i, misses = 1, 0
+        while misses < 4:
+            misses = 0 if add(f"{self.path}.{i}", False) else misses + 1
+            i += 1
+        segments.reverse()  # .N (oldest) .. .1 (newest rotation)
+        add(self.path, True)
         return segments
 
     def _open_family(self) -> list[_Segment]:

@@ -1,9 +1,21 @@
 """Tests for the grid-search baseline."""
 
+import itertools
+import types
+
 import pytest
 
 from repro.search import GridSearch
-from repro.space import ExpressionConstraint, Integer, Ordinal, Real, SearchSpace
+from repro.search import grid_search as grid_search_module
+from repro.space import (
+    Categorical,
+    ExpressionConstraint,
+    Integer,
+    Ordinal,
+    Real,
+    SearchSpace,
+)
+from repro.synthetic import SyntheticFunction
 
 
 def small_space():
@@ -79,3 +91,72 @@ class TestValidation:
         r = gs.run()
         assert r.best_config["u"] == 8
         assert r.n_evaluations == 4
+
+
+def product_walk(gs):
+    """The strided enumeration as ``_iter_grid`` used to walk it: every
+    grid tuple in ``itertools.product`` order, keeping each stride-th."""
+    names = gs.space.names
+    total = gs.grid_size()
+    stride = max(1, total // (gs.max_evaluations or total))
+    return [
+        dict(zip(names, combo))
+        for i, combo in enumerate(itertools.product(*gs._axes()))
+        if i % stride == 0
+    ]
+
+
+class TestDirectIndexing:
+    SPACES = {
+        "small": small_space,
+        "mixed": lambda: SearchSpace(
+            [
+                Integer("tb", 32, 1024),
+                Integer("tb_sm", 1, 32),
+                Real("x", -50.0, 50.0),
+                Ordinal("u", [1, 2, 4, 8]),
+            ],
+            [ExpressionConstraint("tb * tb_sm <= 2048")],
+        ),
+        "categorical": lambda: SearchSpace(
+            [Categorical("c", ["a", "b", "c"]), Integer("n", 0, 6), Real("r", 0.0, 1.0)]
+        ),
+        "synthetic-6d": lambda: SyntheticFunction(case=1)
+        .search_space()
+        .subspace([f"x{i}" for i in range(6)]),
+    }
+
+    @pytest.mark.parametrize("budget", [None, 1, 3, 7, 16, 50, 1000])
+    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    def test_matches_the_product_walk(self, space_name, budget):
+        gs = GridSearch(
+            self.SPACES[space_name](), lambda c: 1.0, max_evaluations=budget
+        )
+        assert list(gs._iter_grid()) == product_walk(gs)
+
+    def test_budgeted_20d_grid_finishes(self, monkeypatch):
+        """4^20 ~ 1.1e12 grid points with a stride of ~6.9e10: the 16
+        budgeted points must not cost a walk over the skipped ones."""
+        pulled = 0
+        real_product = itertools.product
+
+        def bounded_product(*axes):
+            nonlocal pulled
+            for combo in real_product(*axes):
+                pulled += 1
+                if pulled > 100_000:
+                    raise AssertionError("walked the grid tuple by tuple")
+                yield combo
+
+        monkeypatch.setattr(
+            grid_search_module,
+            "itertools",
+            types.SimpleNamespace(product=bounded_product),
+            raising=False,
+        )
+        app = SyntheticFunction(case=1)
+        gs = GridSearch(app.search_space(), app, max_evaluations=16)
+        assert gs.grid_size() == 4**20
+        r = gs.run()
+        assert r.n_evaluations == 16
+        assert pulled <= 100_000

@@ -19,6 +19,7 @@ from repro.telemetry import (
     MetricsRegistry,
     SpanLatencySink,
 )
+from repro.telemetry import stream as stream_module
 
 
 def write_lines(path, events, *, torn_suffix=None):
@@ -124,6 +125,37 @@ class TestJsonlTailer:
         assert tailer.lost_segments == 1  # the hole is flagged
         assert rest == list(range(rest[0], 40))  # suffix intact, in order
         assert rest[-1] == 39
+
+    def test_rename_chain_mid_scan_skips_no_segment(self, tmp_path, monkeypatch):
+        """The writer renames ``.i`` -> ``.i+1`` oldest first, then the
+        live file to ``.1``.  A chain that runs while the tailer opens
+        the family must not hide a segment from it.  The chain here runs
+        right after the tailer's first open of a rotated segment and
+        stops before the final rename, so the live file keeps its inode
+        and the scan is accepted."""
+        path = tmp_path / "t.jsonl"
+        for idx, seqs in {3: (0, 1), 2: (2, 3), 1: (4, 5)}.items():
+            write_lines(f"{path}.{idx}", [{"seq": s} for s in seqs])
+        write_lines(path, [{"seq": 6}])
+
+        class RenameChainOnFirstOpen:
+            chained = False
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def open(self, name, flags):
+                fd = os.open(name, flags)
+                if not self.chained and os.fspath(name) != os.fspath(path):
+                    self.chained = True
+                    for i in (3, 2, 1):
+                        os.replace(f"{path}.{i}", f"{path}.{i + 1}")
+                return fd
+
+        monkeypatch.setattr(stream_module, "os", RenameChainOnFirstOpen())
+        tailer = JsonlTailer(path)
+        assert [e["seq"] for e in tailer.poll()] == list(range(7))
+        assert tailer.lost_segments == 0
 
     def test_concurrent_writer_and_tailer_threads(self, tmp_path):
         path = tmp_path / "t.jsonl"
