@@ -18,46 +18,18 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
+from ..durable import AppendLog, atomic_write, repair_torn_tail, split_lines
+
 __all__ = [
     "Evaluation",
     "EvaluationDatabase",
     "EvaluationStatus",
-    "repair_torn_tail",
 ]
-
-
-def repair_torn_tail(path: str | os.PathLike) -> bool:
-    """Truncate a JSONL checkpoint whose final line was torn by a crash.
-
-    Every complete append ends with a newline, so a line-oriented
-    checkpoint that does not is carrying a partial record from a write
-    that died mid-line.  Loaders tolerate the fragment, but a later
-    append-mode write would concatenate the next record onto it, turning
-    the recoverable torn *final* line into an unparsable *interior* one
-    that invalidates the whole file.  Dropping the fragment at load time
-    keeps the file line-oriented; the file is removed entirely when no
-    complete line survives.  Returns True if the file was modified.
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data or data.endswith(b"\n"):
-        return False
-    keep = data.rfind(b"\n") + 1
-    if keep == 0:
-        os.unlink(path)
-        return True
-    with open(path, "r+b") as f:
-        f.truncate(keep)
-        f.flush()
-        os.fsync(f.fileno())
-    return True
 
 
 class EvaluationStatus:
@@ -236,25 +208,18 @@ class EvaluationDatabase:
             else:
                 self.save(self.path)
 
+    def _header_line(self) -> str:
+        return json.dumps({"format": self._JSONL_HEADER, "task": self.task})
+
     def _append_lines(self, records: list[Evaluation]) -> None:
         """Append records to the JSONL checkpoint, creating it on demand."""
         assert self.path is not None
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fresh = not os.path.exists(self.path)
-        with open(self.path, "a") as f:
-            if fresh:
-                f.write(
-                    json.dumps({"format": self._JSONL_HEADER, "task": self.task})
-                    + "\n"
-                )
-                # First write of this checkpoint: persist everything we
-                # hold (covers in-memory records that predate the path).
+        with AppendLog(self.path, header=self._header_line()) as log:
+            # A new file gets everything we hold (covers in-memory
+            # records that predate the path).
+            if log.created:
                 records = self._records
-            for r in records:
-                f.write(json.dumps(r.to_dict()) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+            log.append([json.dumps(r.to_dict()) for r in records])
 
     # ------------------------------------------------------------------
     @property
@@ -310,29 +275,17 @@ class EvaluationDatabase:
         format = format if format is not None else "json"
         if format not in ("json", "jsonl"):
             raise ValueError("format must be 'json' or 'jsonl'")
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                if format == "jsonl":
-                    f.write(
-                        json.dumps({"format": self._JSONL_HEADER, "task": self.task})
-                        + "\n"
-                    )
-                    for r in self._records:
-                        f.write(json.dumps(r.to_dict()) + "\n")
-                else:
-                    payload = {
-                        "task": self.task,
-                        "records": [r.to_dict() for r in self._records],
-                    }
-                    json.dump(payload, f)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        if format == "jsonl":
+            lines = [self._header_line()] + [
+                json.dumps(r.to_dict()) for r in self._records
+            ]
+            text = "".join(line + "\n" for line in lines)
+        else:
+            text = json.dumps(
+                {"task": self.task, "records": [r.to_dict() for r in self._records]}
+            )
+        atomic_write(path, text)
 
     def load(self, path: str | os.PathLike) -> None:
         """Replace in-memory records with the checkpoint contents.
@@ -341,10 +294,10 @@ class EvaluationDatabase:
         document; anything else is treated as JSON Lines, tolerating a
         partial final line (crash mid-append).
         """
-        with open(os.fspath(path)) as f:
-            text = f.read()
+        with open(os.fspath(path), "rb") as f:
+            data = f.read()
         try:
-            payload = json.loads(text)
+            payload = json.loads(data)
         except json.JSONDecodeError:
             payload = None
         if isinstance(payload, dict) and "records" in payload:
@@ -359,24 +312,14 @@ class EvaluationDatabase:
                 # consistent line-oriented file.
                 self.save(path, format="jsonl")
             return
-        records: list[Evaluation] = []
-        lines = text.splitlines()
-        if lines and not text.endswith("\n"):
+        lines, complete = split_lines(data)
+        if complete < len(data):
             # Torn final line from a crash mid-append: drop the fragment
-            # here and on disk, so the next append starts a fresh line
-            # instead of concatenating onto it.
+            # on disk too, so the next append starts a fresh line.
             repair_torn_tail(path)
-            lines = lines[:-1]
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    continue  # torn final line from a crash mid-append
-                raise
+        records: list[Evaluation] = []
+        for line in lines:
+            d = json.loads(line)
             if isinstance(d, dict) and d.get("format") == self._JSONL_HEADER:
                 self.task = d.get("task", self.task)
                 continue

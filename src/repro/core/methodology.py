@@ -479,7 +479,7 @@ class TuningMethodology:
         application runs) and saved there after a fresh analysis — crash
         recovery for the observation-expensive phase, mirroring the
         evaluation database's role for the searches.  The file is written
-        atomically (temp file + ``os.replace``), and an unparsable
+        atomically (:func:`repro.durable.atomic_write`), and an unparsable
         checkpoint falls back to a fresh analysis with a warning instead
         of poisoning the resume.  Phase 2 is pure computation and always
         re-runs (so cut-off/cap changes re-plan from cached observations
@@ -492,7 +492,8 @@ class TuningMethodology:
         """
         import json
         import os
-        import tempfile
+
+        from ..durable import atomic_write
 
         if evaluator is None:
             evaluator = self._phase1_evaluator()
@@ -524,24 +525,7 @@ class TuningMethodology:
                 sp.attrs["n_evaluations"] = sens.n_evaluations
             analysis_evals += sens.n_evaluations
             if checkpoint:
-                directory = os.path.dirname(os.path.abspath(checkpoint))
-                fd, tmp = tempfile.mkstemp(
-                    dir=directory,
-                    prefix=os.path.basename(checkpoint) + ".",
-                    suffix=".tmp",
-                )
-                try:
-                    with os.fdopen(fd, "w") as f:
-                        json.dump(sens.to_dict(), f)
-                        f.flush()
-                        os.fsync(f.fileno())
-                    os.replace(tmp, checkpoint)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                atomic_write(checkpoint, json.dumps(sens.to_dict()))
 
         with tracer.span("dag_partition") as sp:
             influence = InfluenceMatrix.from_sensitivity(self.routines, sens)

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from ..durable import atomic_write
 from ..log import get_logger
 from .taxonomy import FailureKind
 
@@ -57,17 +57,8 @@ def persist_breaker(
     if checkpoint_path is None:
         return
     path = breaker_sidecar_path(checkpoint_path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(breaker.state_dict(), f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    atomic_write(path, json.dumps(breaker.state_dict()))
 
 
 def restore_breaker(

@@ -38,7 +38,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..bo.history import Evaluation, repair_torn_tail
+from ..bo.history import Evaluation
+from ..durable import AppendLog, read_lines
 from ..log import get_logger
 from ..search.cache import canonical_key
 from ..telemetry.core import NULL_TRACER
@@ -274,9 +275,9 @@ class Phase1Log:
     against the *current* plan by index and configuration fingerprint; a
     log written by a different plan (changed seed, V, baseline, space) is
     detected as stale, discarded with a warning, and overwritten.  A torn
-    final line (crash mid-append) is dropped and truncated from the file,
-    so the interrupted task is simply re-measured and the next append
-    starts on a fresh line.
+    final line (crash mid-append) is skipped on load and truncated before
+    the next append (:class:`repro.durable.AppendLog`), so the
+    interrupted task is simply re-measured.
     """
 
     _HEADER = "repro-phase1-log"
@@ -285,35 +286,16 @@ class Phase1Log:
         self.path = os.fspath(path)
         self.label = label
         self.n_tasks = int(n_tasks)
-        self._header_written = os.path.exists(self.path)
 
     # ------------------------------------------------------------------
     def load(self, tasks: Sequence[MeasureTask]) -> dict[int, Phase1Observation]:
         """Observations matching the planned tasks, keyed by index."""
-        if not os.path.exists(self.path):
-            return {}
-        with open(self.path) as f:
-            text = f.read()
         by_task = {t.index: t for t in tasks}
         out: dict[int, Phase1Observation] = {}
-        lines = text.splitlines()
-        if lines and not text.endswith("\n"):
-            # Torn final line from a crash mid-append: drop the fragment
-            # here and on disk, so the next append starts a fresh line
-            # instead of concatenating onto it (which would make the log
-            # unparsable — and discarded as stale — on every later load).
-            repair_torn_tail(self.path)
-            self._header_written = os.path.exists(self.path)
-            lines = lines[:-1]
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
+        for line in read_lines(self.path)[0]:
             try:
                 d = json.loads(line)
             except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    continue  # torn final line from a crash mid-append
                 return self._stale("unparsable line")
             if isinstance(d, dict) and d.get("format") == self._HEADER:
                 if d.get("label") != self.label or int(
@@ -324,8 +306,6 @@ class Phase1Log:
             try:
                 obs = Phase1Observation.from_dict(d)
             except (KeyError, TypeError, ValueError):
-                if i == len(lines) - 1:
-                    continue
                 return self._stale("malformed record")
             task = by_task.get(obs.index)
             if task is None or config_fingerprint(task.config) != d.get("cfg"):
@@ -339,28 +319,14 @@ class Phase1Log:
             self.path, why,
         )
         os.unlink(self.path)
-        self._header_written = False
         return {}
 
     def append(self, obs: Phase1Observation) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a") as f:
-            if not self._header_written:
-                f.write(
-                    json.dumps(
-                        {
-                            "format": self._HEADER,
-                            "label": self.label,
-                            "n_tasks": self.n_tasks,
-                        }
-                    )
-                    + "\n"
-                )
-                self._header_written = True
-            f.write(json.dumps(obs.to_dict()) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        header = json.dumps(
+            {"format": self._HEADER, "label": self.label, "n_tasks": self.n_tasks}
+        )
+        with AppendLog(self.path, header=header) as log:
+            log.append([json.dumps(obs.to_dict())])
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,9 @@ Design constraints, in order:
   Every record is written as a single ``os.write`` on an ``O_APPEND``
   descriptor, so lines from concurrent writers interleave whole —
   never torn mid-line — and readers tolerate (and re-poll past) an
-  incomplete tail.  Torn tails from a hard crash are repaired with the
-  shared :func:`repro.bo.history.repair_torn_tail` on writer open.
+  incomplete tail.  Torn tails from a hard crash are repaired when a
+  writer opens (:class:`repro.durable.AppendLog`), under a lock that
+  keeps one writer's repair from cutting another's fsynced record.
 * **O(1) appends, incremental reads.**  Appending never rewrites the
   file; :meth:`refresh` reads only bytes past the last consumed offset,
   so polling the store on a cache miss is cheap even when it is large.
@@ -49,7 +50,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from ..bo.history import repair_torn_tail
+from ..durable import AppendLog, read_lines
 from ..log import get_logger
 from ..space import SearchSpace
 from ..space.serialize import space_to_dict
@@ -61,6 +62,22 @@ logger = get_logger("search")
 
 _HEADER = "repro-evaluation-store"
 _VERSION = 1
+_HEADER_LINE = json.dumps(
+    {"format": _HEADER, "version": _VERSION}, sort_keys=True, separators=(",", ":")
+)
+#: The byte of ``<path>.lock`` that a writer's open holds exclusively
+#: and each append holds shared; claim offsets are crc32 values, all
+#: below it.
+_OPEN_LOCK = 1 << 32
+
+
+@contextmanager
+def _byte_lock(fd: int, mode: int, offset: int) -> Iterator[None]:
+    fcntl.lockf(fd, mode, 1, offset)
+    try:
+        yield
+    finally:
+        fcntl.lockf(fd, fcntl.LOCK_UN, 1, offset)
 
 
 def _jsonable(value: Any) -> Any:
@@ -198,9 +215,8 @@ class EvaluationStore:
         self._lock = threading.Lock()
         self._index: dict[tuple[str, str], StoredEvaluation] = {}
         self._offset = 0
-        self._fd: int | None = None
+        self._log: AppendLog | None = None
         self._claim_fd: int | None = None
-        self._repaired = False
         self.refresh()
 
     # -- reading -------------------------------------------------------
@@ -215,22 +231,9 @@ class EvaluationStore:
             return self._refresh_locked()
 
     def _refresh_locked(self) -> int:
-        try:
-            with open(self.path, "rb") as f:
-                f.seek(self._offset)
-                data = f.read()
-        except OSError:
-            return 0
-        if not data:
-            return 0
-        consumed = data.rfind(b"\n") + 1
-        if consumed == 0:  # only an incomplete tail so far
-            return 0
+        lines, end = read_lines(self.path, self._offset)
         added = 0
-        for raw in data[:consumed].splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
+        for raw in lines:
             try:
                 record = json.loads(raw)
             except ValueError:
@@ -254,7 +257,7 @@ class EvaluationStore:
             # keeping the earliest makes re-reads idempotent.
             if self._index.setdefault((entry.space, entry.key), entry) is entry:
                 added += 1
-        self._offset += consumed
+        self._offset = end
         return added
 
     def lookup(
@@ -319,18 +322,17 @@ class EvaluationStore:
         threads of one process do not exclude each other, and closing
         another store on the same path in that process drops its claims.
         """
-        offset = zlib.crc32(f"{space}\n{key}".encode())
         with self._lock:
-            if self._claim_fd is None:
-                self._claim_fd = os.open(
-                    self.path + ".lock", os.O_RDWR | os.O_CREAT, 0o644
-                )
-            fd = self._claim_fd
-        fcntl.lockf(fd, fcntl.LOCK_EX, 1, offset)
-        try:
+            fd = self._lock_fd_locked()
+        with _byte_lock(fd, fcntl.LOCK_EX, zlib.crc32(f"{space}\n{key}".encode())):
             yield
-        finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN, 1, offset)
+
+    def _lock_fd_locked(self) -> int:
+        if self._claim_fd is None:
+            self._claim_fd = os.open(
+                self.path + ".lock", os.O_RDWR | os.O_CREAT, 0o644
+            )
+        return self._claim_fd
 
     def record(
         self,
@@ -361,47 +363,33 @@ class EvaluationStore:
             if (space, key) in self._index:
                 return self._index[(space, key)]
             self._ensure_writer_locked()
-            self._append_locked(entry.to_line())
+            with _byte_lock(self._claim_fd, fcntl.LOCK_SH, _OPEN_LOCK):
+                self._log.append([entry.to_line()])
             self._index[(space, key)] = entry
         return entry
 
     def _ensure_writer_locked(self) -> None:
-        if self._fd is not None:
+        if self._log is not None:
             return
-        if not self._repaired and os.path.exists(self.path):
-            # A single-write O_APPEND line only tears on a hard crash
-            # (power loss / full disk); repair once before we append so
-            # our first line starts at a line boundary.
-            try:
-                repair_torn_tail(self.path)
-            except OSError:  # pragma: no cover - repair is best-effort
-                pass
-            self._repaired = True
-        fresh = not os.path.exists(self.path)
-        self._fd = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        if fresh:
-            self._append_locked(
-                json.dumps(
-                    {"format": _HEADER, "version": _VERSION},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
+        # A single-write O_APPEND line only tears on a hard crash (power
+        # loss, full disk).  The repair that drops it reads the tail and
+        # then truncates, so it holds the open lock exclusively while
+        # every append holds it shared: neither another writer's repair
+        # nor its write in flight (which a reader can see half done) can
+        # pass for a torn tail, and two openers of an empty file do not
+        # both write a header.
+        with _byte_lock(self._lock_fd_locked(), fcntl.LOCK_EX, _OPEN_LOCK):
+            self._log = AppendLog(
+                self.path, header=_HEADER_LINE, fsync="always" if self.fsync else None
             )
-
-    def _append_locked(self, line: str) -> None:
-        assert self._fd is not None
-        os.write(self._fd, (line + "\n").encode())
-        if self.fsync:
-            os.fsync(self._fd)
 
     def close(self) -> None:
         with self._lock:
-            for fd in (self._fd, self._claim_fd):
-                if fd is not None:
-                    os.close(fd)
-            self._fd = self._claim_fd = None
+            if self._log is not None:
+                self._log.close()
+            if self._claim_fd is not None:
+                os.close(self._claim_fd)
+            self._log = self._claim_fd = None
 
     # -- pickling (store objects ride job specs into workers) ----------
     def __getstate__(self) -> dict[str, Any]:

@@ -45,7 +45,6 @@ one cross-job stage-attribution table.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -56,14 +55,7 @@ from ..profiling.timers import TimingReport
 from ..telemetry.progress import ProgressReporter
 from ..telemetry.report import TraceReport
 from ..telemetry.stream import EventBus, JsonlTailer, Subscription
-from .registry import (
-    JobRecord,
-    JobState,
-    RegistryError,
-    SNAPSHOT_NAME,
-    WAL_NAME,
-    replay_wal_event,
-)
+from .registry import JobRecord, JobState, read_registry
 
 __all__ = [
     "ServiceEventBus",
@@ -406,42 +398,7 @@ def load_registry_records(root: str | os.PathLike) -> list[JobRecord]:
     against a directory a live single-writer service owns, which is
     exactly what ``repro report --service`` does.
     """
-    root = os.fspath(root)
-    jobs: dict[str, JobRecord] = {}
-    snapshot_seq = 0
-    snap_path = os.path.join(root, SNAPSHOT_NAME)
-    if os.path.exists(snap_path):
-        try:
-            with open(snap_path) as f:
-                snap = json.load(f)
-        except (OSError, ValueError) as exc:
-            raise RegistryError(
-                f"corrupt registry snapshot {snap_path}: {exc}"
-            ) from exc
-        snapshot_seq = int(snap.get("seq", 0))
-        for data in snap.get("jobs", ()):
-            rec = JobRecord.from_dict(data)
-            jobs[rec.job_id] = rec
-    wal_path = os.path.join(root, WAL_NAME)
-    if os.path.exists(wal_path):
-        with open(wal_path, "rb") as f:
-            lines = f.read().split(b"\n")
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if i == len(lines) - 1:
-                    continue  # torn tail of a live/crashed writer
-                raise RegistryError(
-                    f"corrupt registry WAL {wal_path}:{i + 1}: {exc}"
-                ) from exc
-            if event.get("event") == "header":
-                continue
-            if int(event["seq"]) <= snapshot_seq:
-                continue
-            replay_wal_event(jobs, event)
+    jobs, _ = read_registry(root)
     return sorted(jobs.values(), key=lambda r: r.submitted_seq)
 
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from ..durable import atomic_write
 
 __all__ = [
     "JobSpec",
@@ -65,20 +66,9 @@ class DrainRequested(BaseException):
 
 
 def atomic_write_json(path: str | os.PathLike, payload: Mapping[str, Any]) -> None:
-    """Durably publish ``payload`` at ``path`` (tmp + fsync + rename)."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(payload, f, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Durably publish ``payload`` at ``path``
+    (:func:`repro.durable.atomic_write`)."""
+    atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 def write_fence(workdir: str | os.PathLike, epoch: int) -> None:

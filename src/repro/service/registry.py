@@ -4,10 +4,10 @@ Every job state transition is appended to a write-ahead log *before* the
 in-memory state changes are considered durable, in the same JSONL idiom
 as the evaluation checkpoints: a header line, then one self-contained
 JSON object per event, each carrying a monotonically increasing ``seq``.
-Recovery is therefore the same story as everywhere else in the package —
-:func:`repro.bo.history.repair_torn_tail` drops a torn final line, the
-snapshot (if any) seeds the state, and WAL events with ``seq`` greater
-than the snapshot's are replayed on top.
+Recovery is therefore the same story as everywhere else in the package
+(:mod:`repro.durable`): the snapshot (if any) seeds the state, WAL events
+with ``seq`` greater than the snapshot's are replayed on top, and a torn
+final line is never replayed and is dropped before the next append.
 
 Compaction writes an atomic snapshot (tmp + fsync + rename) of the full
 state *first*, then atomically replaces the WAL with a fresh
@@ -33,14 +33,12 @@ from __future__ import annotations
 import bisect
 import json
 import os
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-from ..bo.history import repair_torn_tail
+from ..durable import AppendLog, atomic_write, read_lines
 from ..log import get_logger
-from ..telemetry.sinks import FSYNC_POLICIES
 from .jobs import JobSpec
 
 __all__ = [
@@ -49,6 +47,7 @@ __all__ = [
     "JobRegistry",
     "RegistryError",
     "IllegalTransition",
+    "read_registry",
     "replay_wal_event",
 ]
 
@@ -58,6 +57,11 @@ WAL_HEADER = "repro-job-registry"
 WAL_VERSION = 1
 WAL_NAME = "registry.wal.jsonl"
 SNAPSHOT_NAME = "registry.snapshot.json"
+_WAL_HEADER_LINE = json.dumps(
+    {"format": WAL_HEADER, "version": WAL_VERSION, "event": "header"},
+    sort_keys=True,
+    separators=(",", ":"),
+)
 
 
 class RegistryError(RuntimeError):
@@ -91,9 +95,7 @@ def replay_wal_event(
     """Replay one WAL event onto a job table (pure assignment —
     epoch/attempt arithmetic happened when the event was written).
 
-    Shared by :class:`JobRegistry` recovery and the read-only registry
-    views in :mod:`repro.service.events` (the event bus and the
-    cross-job report never open the WAL for writing).
+    Used by :func:`read_registry`, the one snapshot + WAL replay.
     """
     kind = event["event"]
     if kind == "submit":
@@ -195,6 +197,48 @@ class JobRecord:
         )
 
 
+def read_registry(root: str | os.PathLike) -> tuple[dict[str, JobRecord], int]:
+    """Rebuild the job table from ``root``'s snapshot and WAL, writing
+    nothing; return it with the highest ``seq`` seen.
+
+    Only newline-complete WAL lines are replayed (a torn tail of a live
+    or crashed writer is skipped); any other unparsable line is
+    corruption.  Shared by :class:`JobRegistry` recovery and the
+    read-only views in :mod:`repro.service.events`, which run against a
+    directory a live service owns.
+    """
+    root = os.fspath(root)
+    jobs: dict[str, JobRecord] = {}
+    snapshot_seq = 0
+    snap_path = os.path.join(root, SNAPSHOT_NAME)
+    if os.path.exists(snap_path):
+        try:
+            with open(snap_path) as f:
+                snap = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise RegistryError(
+                f"corrupt registry snapshot {snap_path}: {exc}"
+            ) from exc
+        snapshot_seq = int(snap.get("seq", 0))
+        for data in snap.get("jobs", ()):
+            rec = JobRecord.from_dict(data)
+            jobs[rec.job_id] = rec
+    seq = snapshot_seq
+    wal_path = os.path.join(root, WAL_NAME)
+    for lineno, line in enumerate(read_lines(wal_path)[0], 1):
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RegistryError(
+                f"corrupt registry WAL {wal_path}:{lineno}: {exc}"
+            ) from exc
+        if event.get("event") == "header" or int(event["seq"]) <= snapshot_seq:
+            continue  # header, or already folded into the snapshot
+        replay_wal_event(jobs, event)
+        seq = max(seq, int(event["seq"]))
+    return jobs, seq
+
+
 class JobRegistry:
     """Single-writer, crash-recoverable job table backed by a WAL.
 
@@ -204,7 +248,7 @@ class JobRegistry:
         Directory holding ``registry.wal.jsonl`` and (after compaction)
         ``registry.snapshot.json``.  Created if missing.
     fsync:
-        Durability policy from :data:`repro.telemetry.sinks.FSYNC_POLICIES`.
+        Durability policy from :data:`repro.durable.FSYNC_POLICIES`.
         The default ``"always"`` fsyncs every appended event — a job
         transition acknowledged to a tenant survives power loss, which is
         the contract a job *service* owes that a best-effort trace sink
@@ -215,15 +259,12 @@ class JobRegistry:
     """
 
     def __init__(self, root: str | os.PathLike, *, fsync: str = "always"):
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
         self.root = os.fspath(root)
         self.fsync = fsync
         self.wal_path = os.path.join(self.root, WAL_NAME)
         self.snapshot_path = os.path.join(self.root, SNAPSHOT_NAME)
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.RLock()
-        self._jobs: dict[str, JobRecord] = {}
         # Query indexes, kept in step with every record's state by
         # _set_state and rebuilt after recovery: the FIFO queue as sorted
         # ``(submitted_seq, job_id)`` pairs, and active-job counts per
@@ -232,57 +273,10 @@ class JobRegistry:
         self._queue: list[tuple[int, str]] = []
         self._active_by_state: dict[str, int] = {}
         self._active_by_tenant: dict[str, int] = {}
-        self._seq = 0
-        self._recovered_torn_tail = False
-        self._recover()
+        self._jobs, self._seq = read_registry(self.root)
         for rec in self._jobs.values():
             self._index(rec, 1)
-        self._wal = open(self.wal_path, "a")
-        if self._wal.tell() == 0:
-            self._append_raw(
-                {"format": WAL_HEADER, "version": WAL_VERSION, "event": "header"}
-            )
-
-    # -- recovery ------------------------------------------------------
-    def _recover(self) -> None:
-        snapshot_seq = 0
-        if os.path.exists(self.snapshot_path):
-            try:
-                with open(self.snapshot_path) as f:
-                    snap = json.load(f)
-            except (OSError, ValueError) as exc:
-                raise RegistryError(
-                    f"corrupt registry snapshot {self.snapshot_path}: {exc}"
-                ) from exc
-            snapshot_seq = int(snap.get("seq", 0))
-            for data in snap.get("jobs", ()):
-                rec = JobRecord.from_dict(data)
-                self._jobs[rec.job_id] = rec
-        self._seq = snapshot_seq
-        if not os.path.exists(self.wal_path):
-            return
-        self._recovered_torn_tail = repair_torn_tail(self.wal_path)
-        with open(self.wal_path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RegistryError(
-                        f"corrupt registry WAL {self.wal_path}:{lineno}: {exc}"
-                    ) from exc
-                if event.get("event") == "header":
-                    continue
-                seq = int(event["seq"])
-                if seq <= snapshot_seq:
-                    continue  # already folded into the snapshot
-                self._apply(event)
-                self._seq = max(self._seq, seq)
-
-    def _apply(self, event: Mapping[str, Any]) -> None:
-        replay_wal_event(self._jobs, event)
+        self._wal = AppendLog(self.wal_path, header=_WAL_HEADER_LINE, fsync=fsync)
 
     # -- query indexes -------------------------------------------------
     def _index(self, rec: JobRecord, sign: int) -> None:
@@ -315,21 +309,13 @@ class JobRegistry:
     @property
     def recovered_torn_tail(self) -> bool:
         """Whether recovery had to drop a torn final WAL line."""
-        return self._recovered_torn_tail
+        return self._wal.repaired
 
     # -- WAL append ----------------------------------------------------
-    def _append_raw(self, event: Mapping[str, Any]) -> None:
-        self._wal.write(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        self._wal.flush()
-        if self.fsync == "always":
-            os.fsync(self._wal.fileno())
-
     def _append(self, event: dict[str, Any]) -> int:
         self._seq += 1
         event["seq"] = self._seq
-        self._append_raw(event)
+        self._wal.append([json.dumps(event, sort_keys=True, separators=(",", ":"))])
         return self._seq
 
     # -- public API ----------------------------------------------------
@@ -499,66 +485,29 @@ class JobRegistry:
         events with ``seq`` at or below the snapshot's.
         """
         with self._lock:
-            self._wal.flush()
-            if self.fsync in ("always", "rotate"):
-                os.fsync(self._wal.fileno())
-            snap = {
-                "format": WAL_HEADER,
-                "version": WAL_VERSION,
-                "seq": self._seq,
-                "jobs": [rec.to_dict() for rec in self.jobs()],
-            }
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            self._wal.close(rotating=True)
             try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump(snap, f, sort_keys=True)
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, self.snapshot_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-            self._wal.close()
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as f:
-                    f.write(
-                        json.dumps(
-                            {
-                                "format": WAL_HEADER,
-                                "version": WAL_VERSION,
-                                "event": "header",
-                            },
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, self.wal_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-            self._wal = open(self.wal_path, "a")
+                snap = {
+                    "format": WAL_HEADER,
+                    "version": WAL_VERSION,
+                    "seq": self._seq,
+                    "jobs": [rec.to_dict() for rec in self.jobs()],
+                }
+                atomic_write(self.snapshot_path, json.dumps(snap, sort_keys=True))
+                atomic_write(self.wal_path, _WAL_HEADER_LINE + "\n")
+            finally:
+                self._wal = AppendLog(
+                    self.wal_path, header=_WAL_HEADER_LINE, fsync=self.fsync
+                )
             logger.info(
                 "compacted job registry %s at seq %d (%d jobs)",
                 self.root, self._seq, len(self._jobs),
             )
 
     def close(self) -> None:
-        """Flush, fsync, and close the WAL.  Idempotent."""
+        """Fsync (per the policy) and close the WAL.  Idempotent."""
         with self._lock:
-            wal = self._wal
-            if wal is None:
-                return
-            if not wal.closed:
-                wal.flush()
-                os.fsync(wal.fileno())
-                wal.close()
-            self._wal = None
+            self._wal.close()
 
     def __enter__(self) -> "JobRegistry":
         return self

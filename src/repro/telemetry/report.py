@@ -21,8 +21,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..durable import read_lines
 from ..profiling.timers import TimingReport
-from .sinks import TRACE_HEADER
+from .sinks import TRACE_HEADER, trace_segments
 
 __all__ = ["load_trace", "TraceReport"]
 
@@ -30,30 +31,13 @@ __all__ = ["load_trace", "TraceReport"]
 def load_trace(path: str | os.PathLike) -> list[dict[str, Any]]:
     """Read one trace file (plus rotated siblings, oldest first).
 
-    Tolerates a torn final line (crash mid-append), like the evaluation
-    checkpoint loader.
+    Reads only newline-complete lines, so a torn final line (crash
+    mid-append) is skipped, like the evaluation checkpoint loader.
     """
-    path = os.fspath(path)
-    segments = []
-    i = 1
-    while os.path.exists(f"{path}.{i}"):
-        segments.append(f"{path}.{i}")
-        i += 1
-    segments = list(reversed(segments)) + [path]
     events: list[dict[str, Any]] = []
-    for seg in segments:
-        with open(seg) as f:
-            lines = f.read().splitlines()
-        for j, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                if j == len(lines) - 1:
-                    continue  # torn final line
-                raise
+    for seg in trace_segments(path):
+        for line in read_lines(seg)[0]:
+            event = json.loads(line)
             if event.get("kind") == "header":
                 if event.get("format") != TRACE_HEADER:
                     raise ValueError(

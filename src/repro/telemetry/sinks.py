@@ -24,30 +24,27 @@ bytes — the substrate of the byte-identity guarantees.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from typing import Any, Mapping
 
+from ..durable import FSYNC_POLICIES, AppendLog, read_lines
 from ..log import get_logger
 
-__all__ = ["MemorySink", "JsonlSink", "encode_event", "FSYNC_POLICIES"]
+__all__ = [
+    "MemorySink",
+    "JsonlSink",
+    "encode_event",
+    "trace_segments",
+    "FSYNC_POLICIES",
+]
 
 logger = get_logger("telemetry")
 
 TRACE_HEADER = "repro-trace"
 TRACE_VERSION = 1
-
-#: Durability knobs shared by every append-only JSONL writer in the
-#: package (trace sinks here, the job registry WAL in
-#: :mod:`repro.service.registry`):
-#:
-#: * ``"always"`` — fsync after every line.  A crash loses at most the
-#:   line being written (the torn tail the loaders repair).
-#: * ``"rotate"`` — fsync at file-boundary events (rotation, compaction)
-#:   and on close; between them a crash may lose OS-buffered lines.
-#: * ``"close"`` — fsync only on close: fastest, weakest.
-FSYNC_POLICIES = ("always", "rotate", "close")
 
 
 def _json_safe(value: Any) -> Any:
@@ -79,6 +76,21 @@ def encode_event(event: Mapping[str, Any]) -> str:
     )
 
 
+_HEADER_LINE = encode_event(
+    {"kind": "header", "format": TRACE_HEADER, "version": TRACE_VERSION}
+)
+
+
+def trace_segments(path: str | os.PathLike) -> list[str]:
+    """A trace's on-disk segments, oldest first: the rotated
+    ``<path>.N`` (highest ``N`` first), then ``path`` if it exists."""
+    path = os.fspath(path)
+    rotated: list[str] = []
+    while os.path.exists(f"{path}.{len(rotated) + 1}"):
+        rotated.append(f"{path}.{len(rotated) + 1}")
+    return rotated[::-1] + ([path] if os.path.exists(path) else [])
+
+
 class MemorySink:
     """Collect events in a list (tests, worker-side member buffers)."""
 
@@ -99,8 +111,8 @@ class JsonlSink:
     ----------
     path:
         Trace file (conventionally ``<dir>/campaign.trace.jsonl``).  When
-        it already exists the sink *resumes* it: the header is not
-        rewritten and evaluation events already present (per-scope
+        it already exists the sink *resumes* it: a header goes only into
+        an empty file, and evaluation events already present (per-scope
         ``seq`` high-water mark) are skipped on re-emission, mirroring
         how resumed searches replay — rather than re-run — checkpointed
         evaluations.
@@ -112,12 +124,13 @@ class JsonlSink:
     max_files:
         Rotated files kept before the oldest is dropped.
     fsync:
-        Durability policy, one of :data:`FSYNC_POLICIES`.  The default
-        ``"close"`` keeps the historical behavior: every ``eval`` event
-        is *flushed* on write (crash-safe up to OS buffering) but the
-        file is fsynced only when the sink closes.  ``"rotate"`` adds an
-        fsync at each rotation boundary; ``"always"`` fsyncs every
-        emitted line (the policy the job registry uses for its WAL).
+        Durability policy, one of :data:`repro.durable.FSYNC_POLICIES`.
+        The default ``"close"`` keeps the historical behavior: every
+        ``eval`` event is *flushed* on write (crash-safe up to OS
+        buffering) but the file is fsynced only when the sink closes.
+        ``"rotate"`` adds an fsync at each rotation boundary;
+        ``"always"`` fsyncs every emitted line (the policy the job
+        registry uses for its WAL).
     """
 
     def __init__(
@@ -130,88 +143,60 @@ class JsonlSink:
     ):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be > 0")
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}")
         self.path = os.fspath(path)
         self.max_bytes = max_bytes
         self.max_files = int(max_files)
         self.fsync = fsync
         self._eval_seen: dict[str, int] = {}
-        self._file = None
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        if os.path.exists(self.path):
-            # A crash mid-append leaves a torn final line; appending
-            # after it would glue the next event onto the fragment and
-            # turn a recoverable torn *tail* into a corrupt *interior*
-            # line (same contract as the checkpoint loaders).
-            from ..bo.history import repair_torn_tail
-
-            repair_torn_tail(self.path)
-        existing = self._scan_existing()
-        self._file = open(self.path, "a")
-        if not existing:
-            self._write_line(
-                encode_event(
-                    {"kind": "header", "format": TRACE_HEADER,
-                     "version": TRACE_VERSION}
-                )
-            )
+        # Span lines wait here for the next flushed line (or one buffer's
+        # worth); each flush is one append.
+        self._pending: list[str] = []
+        self._pending_bytes = 0
+        self._scan_existing()
+        self._file = AppendLog(self.path, header=_HEADER_LINE, fsync=fsync)
 
     # ------------------------------------------------------------------
-    def _segments(self) -> list[str]:
-        """All on-disk segments, oldest first (rotated then current)."""
-        rotated = []
-        i = 1
-        while os.path.exists(f"{self.path}.{i}"):
-            rotated.append(f"{self.path}.{i}")
-            i += 1
-        return list(reversed(rotated)) + (
-            [self.path] if os.path.exists(self.path) else []
-        )
-
-    def _scan_existing(self) -> bool:
+    def _scan_existing(self) -> None:
         """Build per-scope eval high-water marks from existing segments."""
-        segments = self._segments()
         found = False
-        for seg in segments:
-            with open(seg) as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn final line from a crash mid-append
-                    found = True
-                    if event.get("kind") == "eval":
-                        scope = event.get("scope", "")
-                        seq = int(event.get("seq", -1))
-                        if seq > self._eval_seen.get(scope, -1):
-                            self._eval_seen[scope] = seq
+        for seg in trace_segments(self.path):
+            for line in read_lines(seg)[0]:
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                found = True
+                if event.get("kind") == "eval":
+                    scope = event.get("scope", "")
+                    seq = int(event.get("seq", -1))
+                    if seq > self._eval_seen.get(scope, -1):
+                        self._eval_seen[scope] = seq
         if found:
             logger.info(
                 "resuming trace %s (%d scopes already recorded)",
                 self.path, len(self._eval_seen),
             )
-        return found
 
     # ------------------------------------------------------------------
-    def _write_line(self, line: str, *, flush: bool = True) -> None:
-        assert self._file is not None
-        self._file.write(line + "\n")
-        if flush or self.fsync == "always":
-            self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
+    def _write_line(self, line: str, *, flush: bool) -> None:
+        self._pending.append(line)
+        self._pending_bytes += len(line) + 1
+        if (
+            flush
+            or self.fsync == "always"
+            or self._pending_bytes >= io.DEFAULT_BUFFER_SIZE
+        ):
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._file.append(self._pending)
+            self._pending = []
+            self._pending_bytes = 0
 
     def _rotate(self) -> None:
-        assert self._file is not None
-        if self.fsync in ("always", "rotate"):
-            self._file.flush()
-            os.fsync(self._file.fileno())
-        self._file.close()
+        self._flush()
+        self._file.close(rotating=True)
         oldest = f"{self.path}.{self.max_files}"
         if os.path.exists(oldest):
             os.unlink(oldest)
@@ -221,13 +206,7 @@ class JsonlSink:
                 os.replace(src, f"{self.path}.{i + 1}")
         os.replace(self.path, f"{self.path}.1")
         logger.info("rotated trace %s", self.path)
-        self._file = open(self.path, "a")
-        self._write_line(
-            encode_event(
-                {"kind": "header", "format": TRACE_HEADER,
-                 "version": TRACE_VERSION}
-            )
-        )
+        self._file = AppendLog(self.path, header=_HEADER_LINE, fsync=self.fsync)
 
     def emit(self, event: Mapping[str, Any]) -> None:
         is_eval = event.get("kind") == "eval"
@@ -240,7 +219,7 @@ class JsonlSink:
         if (
             self.max_bytes is not None
             and self._file is not None
-            and self._file.tell() > self.max_bytes
+            and self._file.size + self._pending_bytes > self.max_bytes
         ):
             self._rotate()
         # Flush (a syscall) on evaluation events — the resumable channel,
@@ -260,8 +239,7 @@ class JsonlSink:
         if self._file is None:
             return
         if not self._file.closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self._flush()
             self._file.close()
         self._file = None
 

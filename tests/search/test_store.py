@@ -1,5 +1,6 @@
 """EvaluationStore: persistence, provenance gating, concurrency, repair."""
 
+import builtins
 import json
 import multiprocessing
 import os
@@ -237,6 +238,120 @@ class TestSingleFlightMisses:
         holder.join()
         with EvaluationStore(path).claim("fp", key(1)):
             pass  # would block forever if the dead holder kept the claim
+
+
+def _pause_before_truncating(at_cut, resume):
+    """From now on, this process stops right before it truncates a file
+    (through ``os.ftruncate`` or a file object's ``truncate``): it sets
+    ``at_cut`` and waits up to 1 s for ``resume``."""
+
+    def pause():
+        at_cut.set()
+        resume.wait(1.0)
+
+    real_ftruncate, real_open = os.ftruncate, builtins.open
+
+    def ftruncate(fd, length):
+        pause()
+        return real_ftruncate(fd, length)
+
+    class Pausing:
+        def __init__(self, f):
+            self._f = f
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+        def truncate(self, *args):
+            pause()
+            return self._f.truncate(*args)
+
+    def open_(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return Pausing(f) if "+" in mode else f
+
+    os.ftruncate, builtins.open = ftruncate, open_
+
+
+def _repair_then_record(path, at_cut, resume):
+    _pause_before_truncating(at_cut, resume)
+    EvaluationStore(path).record("fp", "kA", 1.0, provenance=DET)
+
+
+def _record_during_repair(path, at_cut, resume):
+    assert at_cut.wait(30)
+    EvaluationStore(path).record("fp", "kB", 2.0, provenance=DET)
+    resume.set()
+
+
+class TestConcurrentRepair:
+    def test_a_repair_never_cuts_another_writers_record(self, tmp_path):
+        """After a crash, two writers open a store with a torn tail.  A
+        has read the tail and is about to cut the fragment when B
+        repairs, appends and fsyncs kB.  A's cut must not erase kB."""
+        path = str(tmp_path / "s.jsonl")
+        EvaluationStore(path).record("fp", "k0", 0.0, provenance=DET)
+        with open(path, "a") as f:
+            f.write('{"key": "torn"')  # power cut mid-append
+        ctx = multiprocessing.get_context("fork")
+        at_cut, resume = ctx.Event(), ctx.Event()
+        procs = [
+            ctx.Process(target=target, args=(path, at_cut, resume))
+            for target in (_repair_then_record, _record_during_repair)
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(60)
+        assert [p.exitcode for p in procs] == [0, 0]
+        assert at_cut.is_set()
+        with open(path) as f:
+            lines = [json.loads(raw) for raw in f]
+        assert lines[0]["format"] == "repro-evaluation-store"
+        assert sorted(d["key"] for d in lines[1:]) == ["k0", "kA", "kB"]
+
+    def test_a_repair_never_cuts_a_write_in_flight(self, tmp_path):
+        """Writers that open while another appends must not take its
+        half-visible line for a torn tail and cut it."""
+        path = str(tmp_path / "s.jsonl")
+        EvaluationStore(path).record("warm", "w", 0.0, provenance=DET)
+        ctx = multiprocessing.get_context("fork")
+        go = ctx.Barrier(4)
+        procs = [ctx.Process(target=_append_big_records, args=(path, 200, go))]
+        procs += [
+            ctx.Process(target=_open_and_record, args=(path, w, 50, go))
+            for w in range(3)
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(120)
+        assert [p.exitcode for p in procs] == [0] * 4
+        with open(path) as f:
+            keys = [json.loads(raw).get("key") for raw in f]
+        assert len(keys) == len(set(keys)) == 1 + 1 + 200 + 150
+
+
+def _append_big_records(path, n, go):
+    store = EvaluationStore(path, fsync=False)
+    go.wait()
+    for i in range(n):  # each line spans pages, so a write is seen in parts
+        store.record("big", f"b{i}", 1.0, {"pad": "x" * 9000}, provenance=DET)
+    store.close()
+
+
+def _open_and_record(path, w, n, go):
+    go.wait()
+    for i in range(n):
+        store = EvaluationStore(path, fsync=False)
+        store.record("small", f"s{w}-{i}", 1.0, provenance=DET)
+        store.close()
 
 
 class TestSpaceFingerprint:
