@@ -10,7 +10,7 @@ conclusions do not hinge on a specific acquisition.
 import numpy as np
 
 from repro.bo import BayesianOptimizer
-from repro.search import RandomSearch
+from repro.search import RandomSampler, SamplerSearch
 from repro.synthetic import GROUP_VARIABLES, SyntheticFunction
 
 from _helpers import budget, format_table, once, reps, write_result
@@ -42,7 +42,9 @@ def sweep():
                 random_state=rep,
             ).run()
             out[acq].append(r.best_objective)
-        rs = RandomSearch(sub, obj, max_evaluations=budget(100), random_state=rep).run()
+        rs = SamplerSearch(
+            sub, obj, RandomSampler(), max_evaluations=budget(100), random_state=rep
+        ).run()
         out["random"].append(rs.best_objective)
     return {k: float(np.mean(v)) for k, v in out.items()}
 

@@ -28,7 +28,7 @@ Shape assertions (paper-text claims, not absolute numbers):
 
 import numpy as np
 
-from repro.search import RandomSearch, SearchCampaign, SearchSpec
+from repro.search import RandomSampler, SamplerSearch, SearchCampaign, SearchSpec
 from repro.synthetic import GROUP_VARIABLES, SyntheticFunction
 
 from _helpers import budget, format_table, once, reps, write_result
@@ -59,7 +59,9 @@ def run_strategy(f, strategy: str, seed: int):
         import time as _time
 
         t0 = _time.perf_counter()
-        r = RandomSearch(sp, f, max_evaluations=budget(200), random_state=seed).run()
+        r = SamplerSearch(
+            sp, f, RandomSampler(), max_evaluations=budget(200), random_state=seed
+        ).run()
         elapsed = _time.perf_counter() - t0
         return f(r.best_config), elapsed
 

@@ -15,10 +15,10 @@ Both runs use this file's job list, so only the package differs.  Run
 them on one machine: BLAS and libm differences between hosts then
 cancel out.
 
-The list covers every sampler a service job reaches by engine name
-except ``grid``, whose strided enumeration walked the whole 4^20-point
-grid of a synthetic case before the direct index decode, so it would
-hang on a base tree older than that fix.
+The list covers every sampler a service job reaches by engine name.
+(``grid`` hangs on a base tree older than its direct index decode,
+whose strided enumeration walked the whole 4^20-point grid of a
+synthetic case.)
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from typing import Any, Iterator
 from repro.service.jobs import JobSpec, run_job
 
 #: Engines with no GP surrogate: every synthetic case, two seeds each.
-CHEAP_ENGINES = ("random", "qmc", "tpe", "cma-es-lite")
+CHEAP_ENGINES = (
+    "random", "grid", "hillclimb", "anneal", "qmc", "tpe", "cma-es-lite"
+)
 #: GP engines: slower, so two cases (one split, one merged search).
 GP_ENGINES = ("gp-bo", "batch-bo")
 GP_CASES = (1, 4)

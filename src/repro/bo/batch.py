@@ -59,6 +59,25 @@ class BatchBayesianOptimizer(BayesianOptimizer):
         self.batch_size = int(batch_size)
         self.lie = lie
 
+    # Stream family of the breaker's replacement draws: member ``index``
+    # uses ``spawn_key + (_REPLACEMENT_FAMILY, index)``.  A two-element
+    # suffix, so it can never equal a single-index ``_stream``.
+    _REPLACEMENT_FAMILY = 0
+
+    def _replacement_rng(self, index: int) -> np.random.Generator:
+        """The generator for the replacement of batch member ``index``.
+
+        Keyed on the member's own record index, so a resumed round that
+        skips its checkpointed members draws the same replacements for
+        the rest as an uninterrupted run.
+        """
+        key = tuple(self._seed_seq.spawn_key) + (
+            self._REPLACEMENT_FAMILY, int(index)
+        )
+        return np.random.default_rng(
+            np.random.SeedSequence(self._seed_seq.entropy, spawn_key=key)
+        )
+
     # ------------------------------------------------------------------
     def _lie_value(self, y: np.ndarray) -> float:
         if self.lie == "min":
@@ -235,7 +254,8 @@ class BatchBayesianOptimizer(BayesianOptimizer):
                     # Member already evaluated before the crash.
                     cursor += 1
                     continue
-                cfg = self._dequarantine(cfg, rng)
+                if self.breaker is not None and not self.breaker.allows(cfg):
+                    cfg = self._dequarantine(cfg, self._replacement_rng(cursor))
                 if cfg is None:
                     exhausted = True
                     break

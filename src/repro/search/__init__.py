@@ -1,25 +1,27 @@
 """Search engines and campaign orchestration.
 
-Baseline engines (random, grid) plus the :class:`SearchCampaign` runner
-that executes a *set* of searches as a strategy with the paper's
-parallel-wall-clock cost accounting.  Every engine — including the
-suggest-based samplers in :mod:`repro.search.samplers` (TPE,
-CMA-ES-lite, QMC) — is published through the :class:`BaseSampler`
-registry and selected by ``SearchSpec.engine`` name.
+The :class:`SearchCampaign` runner executes a *set* of searches as a
+strategy with the paper's parallel-wall-clock cost accounting.  Every
+engine — the GP-based optimizers and the suggest-based samplers in
+:mod:`repro.search.samplers` (random, grid, hill climbing, annealing,
+TPE, CMA-ES-lite, QMC), which all run on the one :class:`SamplerSearch`
+loop — is published through the :class:`BaseSampler` registry and
+selected by ``SearchSpec.engine`` name.
 """
 
 from .cache import MemoizingObjective, RetryingObjective, canonical_key
 from .evaluate import evaluate_config, schedule_makespan
 from .executor import CampaignExecutor, run_search_spec, spec_seed_sequences
-from .grid_search import GridSearch
-from .local_search import HillClimbing, SimulatedAnnealing
-from .random_search import RandomSearch
 from .result import CampaignResult, SearchResult
 from .runner import SearchCampaign, SearchSpec
 from .samplers import (
+    AnnealSampler,
     BaseSampler,
     CmaEsLiteSampler,
+    GridSampler,
+    HillClimbSampler,
     QMCSampler,
+    RandomSampler,
     SamplerCapabilities,
     SamplerSearch,
     TPESampler,
@@ -32,10 +34,6 @@ from .scalarize import Scalarization, ScalarizedObjective
 from .store import EvaluationStore, StoredEvaluation, space_fingerprint
 
 __all__ = [
-    "RandomSearch",
-    "GridSearch",
-    "HillClimbing",
-    "SimulatedAnnealing",
     "SearchResult",
     "CampaignResult",
     "SearchCampaign",
@@ -54,6 +52,10 @@ __all__ = [
     "BaseSampler",
     "SamplerCapabilities",
     "SamplerSearch",
+    "RandomSampler",
+    "GridSampler",
+    "HillClimbSampler",
+    "AnnealSampler",
     "TPESampler",
     "CmaEsLiteSampler",
     "QMCSampler",

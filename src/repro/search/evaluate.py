@@ -1,7 +1,7 @@
-"""Shared objective-evaluation and cost-accounting helpers.
+"""Objective-evaluation and cost-accounting helpers.
 
-Random search, grid search, and the generic sampler driver all need the
-same three pieces of machinery around a raw objective call:
+Used by the generic sampler driver, the loop of every engine but the
+GP-based ones:
 
 * :func:`evaluate_config` — one evaluation with the full failure-capture
   protocol (exception classification, wallclock- vs simulated-timeout
@@ -10,9 +10,7 @@ same three pieces of machinery around a raw objective call:
 * :func:`schedule_makespan` — the greedy list-scheduling makespan that
   turns per-evaluation costs into the paper's parallel "Time" column;
 
-Before this module each engine carried its own near-identical copy; the
-semantics are pinned by the shared engine tests so they can never drift
-apart again.
+The semantics are pinned by the engine tests.
 """
 
 from __future__ import annotations

@@ -332,12 +332,12 @@ def _dispatch(
 ) -> SearchResult:
     """Resolve ``spec.engine`` through the sampler registry and run it.
 
-    Every engine — the legacy loops (published via adapters that
-    construct them exactly as this function historically did, keeping
-    fingerprints byte-identical) and the suggest-based samplers (TPE,
-    CMA-ES-lite, QMC, driven by the generic
-    :class:`~repro.search.samplers.SamplerSearch` loop) — arrives here
-    by name.  Unknown names raise ``ValueError``, as always.
+    Every engine arrives here by name: the GP-based optimizers (gp-bo,
+    batch-bo) through adapters that construct them exactly as this
+    function historically did, keeping fingerprints byte-identical, and
+    every other engine as a suggest-based sampler driven by the generic
+    :class:`~repro.search.samplers.SamplerSearch` loop.  Unknown names
+    raise ``ValueError``, as always.
     """
     sampler_cls = sampler_by_name(spec.engine)
     return sampler_cls.run_search(spec, seed, objective, database, tracer)

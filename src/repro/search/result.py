@@ -47,15 +47,17 @@ class SearchResult:
     name:
         Label of the (sub)search, e.g. ``"Group 3+4"``.
     engine:
-        ``"bo"``, ``"random"``, or ``"grid"``.
+        The engine's result label: its registry name (``"random"``,
+        ``"grid"``, ``"tpe"``, ...), except ``"bo"`` for GP-BO.
     best_config:
         Best *full* configuration found (pinned values merged in).
     best_objective:
         Its objective value.
     search_time:
-        Sequential wall-clock of this search (evaluation cost + modeling
-        overhead for BO; for random search, see
-        :class:`repro.search.RandomSearch` for the parallel discount).
+        Simulated wall-clock of this search: evaluation cost + modeling
+        overhead for BO; for the samplers on the generic driver, the
+        makespan of the evaluation costs over ``parallelism`` slots (see
+        :class:`repro.search.SamplerSearch`).
     n_evaluations:
         Number of objective evaluations.
     database:

@@ -47,7 +47,10 @@ class SearchSpec:
         per-routine objective (e.g. only Group 3+4's contribution); the
         joint strategy passes the full application.
     engine:
-        ``"bo"`` (default), ``"random"``, or ``"grid"``.
+        Any registered sampler name or alias: ``"bo"`` (default, the
+        GP-BO engine), ``"batch-bo"``, ``"random"``, ``"grid"``,
+        ``"hillclimb"``, ``"anneal"``, ``"tpe"``, ``"cma-es-lite"`` or
+        ``"qmc"`` (see :func:`repro.search.registered_samplers`).
     max_evaluations:
         Budget; ``None`` -> the paper's ``10 x dimensions``.
     engine_options:
@@ -71,11 +74,11 @@ class SearchSpec:
         Optional :class:`repro.faults.FaultPlan` injected around the
         objective (innermost wrapper) for deterministic chaos testing.
     quarantine_threshold / quarantine_resolution:
-        Circuit breaker configuration forwarded to engines that support
-        it (bo, batch-bo, random): after ``quarantine_threshold``
-        permanently-classified failures in one cell of the
-        ``quarantine_resolution``-per-axis grid, the cell is quarantined
-        and receives no further evaluations.  ``None`` disables.
+        Circuit breaker configuration, honored by every engine: after
+        ``quarantine_threshold`` permanently-classified failures in one
+        cell of the ``quarantine_resolution``-per-axis grid, the cell is
+        quarantined and receives no further evaluations.  ``None``
+        disables.
     warm_start:
         Optional seed history: :class:`~repro.bo.history.Evaluation`
         records (typically Phase-1 observations projected onto this

@@ -1,22 +1,18 @@
 """Pluggable sampler architecture.
 
-Every search engine — the paper's GP-BO, the Table-III baselines, and
-the newer TPE / CMA-ES-lite / QMC samplers — is published through one
-:class:`BaseSampler` interface with a declared capability matrix, and
-the campaign executor dispatches ``SearchSpec.engine`` names purely
-through this registry.  See ``docs/samplers.md`` for the add-a-sampler
-quick start and ``tests/samplers/`` for the conformance gauntlet every
-registered sampler must pass.
+Every search engine — the paper's GP-BO, the Table-III baselines, the
+local-search baselines, and the TPE / CMA-ES-lite / QMC samplers — is
+published through one :class:`BaseSampler` interface with a declared
+capability matrix, and the campaign executor dispatches
+``SearchSpec.engine`` names purely through this registry.  All but the
+two GP-based optimizers are pure ``suggest`` samplers run by the one
+:class:`SamplerSearch` loop.  See ``docs/samplers.md`` for the
+add-a-sampler quick start and ``tests/samplers/`` for the conformance
+gauntlet every registered sampler must pass.
 """
 
-from .adapters import (
-    AnnealSamplerAdapter,
-    BatchBOSamplerAdapter,
-    GPBOSamplerAdapter,
-    GridSamplerAdapter,
-    HillClimbSamplerAdapter,
-    RandomSamplerAdapter,
-)
+from .adapters import BatchBOSamplerAdapter, GPBOSamplerAdapter
+from .anneal import AnnealSampler
 from .base import (
     BaseSampler,
     SamplerCapabilities,
@@ -29,7 +25,10 @@ from .base import (
 )
 from .cmaes import CmaEsLiteSampler
 from .driver import SamplerSearch
+from .grid import GridSampler
+from .hillclimb import HillClimbSampler
 from .qmc import QMCSampler
+from .random_sampler import RandomSampler
 from .tpe import TPESampler
 
 __all__ = [
@@ -42,13 +41,13 @@ __all__ = [
     "canonical_engine_name",
     "space_features",
     "unsupported_features",
+    "RandomSampler",
+    "GridSampler",
+    "HillClimbSampler",
+    "AnnealSampler",
     "TPESampler",
     "CmaEsLiteSampler",
     "QMCSampler",
     "GPBOSamplerAdapter",
     "BatchBOSamplerAdapter",
-    "RandomSamplerAdapter",
-    "GridSamplerAdapter",
-    "HillClimbSamplerAdapter",
-    "AnnealSamplerAdapter",
 ]

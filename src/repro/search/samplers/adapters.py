@@ -1,21 +1,19 @@
-"""Adapters publishing the legacy engines through the sampler registry.
+"""Adapters publishing the GP-based optimizers through the sampler registry.
 
-The GP-BO, batch-BO, random, grid, and local-search engines predate the
+The GP-BO and batch-BO engines predate the
 :class:`~repro.search.samplers.base.BaseSampler` interface and run their
-own loops (surrogate refits, acquisition schedules, strided grid
-enumeration) rather than a suggest-per-iteration protocol.  Each adapter
-here overrides :meth:`run_search` to construct its engine **exactly** as
-the campaign executor's dispatch historically did — same constructor
+own loops (surrogate refits, acquisition schedules, batch rounds) rather
+than a suggest-per-iteration protocol.  Each adapter here overrides
+:meth:`run_search` to construct its optimizer **exactly** as the
+campaign executor's dispatch historically did — same constructor
 arguments, same seed handling, same result assembly — which is what
-keeps every existing GP-BO fingerprint and simulated Table-III
-cost-ledger number byte-for-byte unchanged across the refactor.
+keeps every GP-BO fingerprint and simulated Table-III cost-ledger number
+byte-for-byte unchanged.
 
-Their :meth:`suggest` implementations are real but deliberately modest:
-they provide the sampler's *one-more-candidate* behavior for interactive
-use and the conformance harness's interface checks (the grid adapter
-enumerates its strided grid by history index; the others draw a uniform
-feasible configuration, matching their engines' initial designs).  The
-authoritative execution path is ``run_search``.
+Their :meth:`suggest` is a deliberately modest stand-in (one uniform
+feasible configuration, matching the optimizers' initial designs) for
+the conformance harness's interface checks.  The authoritative execution
+path is ``run_search``.
 """
 
 from __future__ import annotations
@@ -28,14 +26,7 @@ from ...bo.optimizer import BayesianOptimizer
 from ..result import SearchResult
 from .base import BaseSampler, SamplerCapabilities, register_sampler
 
-__all__ = [
-    "GPBOSamplerAdapter",
-    "BatchBOSamplerAdapter",
-    "RandomSamplerAdapter",
-    "GridSamplerAdapter",
-    "HillClimbSamplerAdapter",
-    "AnnealSamplerAdapter",
-]
+__all__ = ["GPBOSamplerAdapter", "BatchBOSamplerAdapter"]
 
 
 def _bo_result(spec, r, engine: str) -> SearchResult:
@@ -121,149 +112,3 @@ class BatchBOSamplerAdapter(GPBOSamplerAdapter):
             **spec.engine_options,
         )
         return _bo_result(spec, opt.run(), "batch-bo")
-
-
-@register_sampler
-class RandomSamplerAdapter(BaseSampler):
-    """Uniform constrained random search (Table III baseline)."""
-
-    name = "random"
-    capabilities = SamplerCapabilities(
-        floats=True,
-        integers=True,
-        categorical=True,
-        multivariate=False,
-        conditional=True,
-        warm_start=False,
-    )
-
-    def suggest(
-        self, history: Sequence, space, rng: np.random.Generator
-    ) -> dict[str, Any]:
-        return space.sample(rng)
-
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
-        from ..random_search import RandomSearch
-
-        rs = RandomSearch(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            random_state=np.random.default_rng(seed),
-            **_common_kwargs(spec, database, tracer),
-            **spec.engine_options,
-        )
-        result = rs.run()
-        result.tuned_names = tuple(spec.space.names)
-        return result
-
-
-@register_sampler
-class GridSamplerAdapter(BaseSampler):
-    """Strided grid enumeration (Table III baseline; deterministic)."""
-
-    name = "grid"
-    capabilities = SamplerCapabilities(
-        floats=True,
-        integers=True,
-        categorical=True,
-        multivariate=False,
-        conditional=True,
-        warm_start=False,
-    )
-
-    def __init__(
-        self, points_per_axis: int = 4, max_points_per_discrete_axis: int = 32
-    ):
-        self.points_per_axis = points_per_axis
-        self.max_points_per_discrete_axis = max_points_per_discrete_axis
-
-    def suggest(
-        self, history: Sequence, space, rng: np.random.Generator
-    ) -> dict[str, Any]:
-        """The ``len(history)``-th feasible point of the strided grid."""
-        from ..grid_search import GridSearch
-
-        gs = GridSearch(
-            space,
-            objective=None,
-            points_per_axis=self.points_per_axis,
-            max_points_per_discrete_axis=self.max_points_per_discrete_axis,
-        )
-        want = len(history)
-        seen = 0
-        for cfg in gs._iter_grid():
-            if not self.candidate_is_valid(space, cfg):
-                continue
-            if seen == want:
-                return cfg
-            seen += 1
-        return space.sample(rng)  # grid exhausted: uniform tail
-
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
-        from ..grid_search import GridSearch
-
-        gs = GridSearch(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            **({"database": database} if database is not None else {}),
-            **({"tracer": tracer} if tracer is not None else {}),
-            **spec.engine_options,
-        )
-        result = gs.run()
-        result.tuned_names = tuple(spec.space.names)
-        return result
-
-
-@register_sampler
-class HillClimbSamplerAdapter(BaseSampler):
-    """Greedy neighborhood descent (local-search baseline)."""
-
-    name = "hillclimb"
-    capabilities = SamplerCapabilities(
-        floats=True,
-        integers=True,
-        categorical=True,
-        multivariate=False,
-        conditional=True,
-        warm_start=False,
-    )
-
-    _ENGINE_ATTR = "HillClimbing"
-
-    def suggest(
-        self, history: Sequence, space, rng: np.random.Generator
-    ) -> dict[str, Any]:
-        ok = [r for r in history if r.ok]
-        if not ok:
-            return space.sample(rng)
-        best = min(ok, key=lambda r: r.objective)
-        moves = space.neighbors(best.config)
-        if not moves:
-            return space.sample(rng)
-        return dict(moves[int(rng.integers(0, len(moves)))])
-
-    @classmethod
-    def run_search(cls, spec, seed, objective, database, tracer=None):
-        from .. import local_search
-
-        engine = getattr(local_search, cls._ENGINE_ATTR)
-        ls = engine(
-            spec.space,
-            objective,
-            max_evaluations=spec.budget(),
-            random_state=np.random.default_rng(seed),
-            **spec.engine_options,
-        )
-        return ls.run()
-
-
-@register_sampler
-class AnnealSamplerAdapter(HillClimbSamplerAdapter):
-    """Simulated annealing (local-search baseline)."""
-
-    name = "anneal"
-    _ENGINE_ATTR = "SimulatedAnnealing"

@@ -11,22 +11,24 @@ through :func:`sampler_by_name`, so adding a sampler is: subclass,
 
 Two kinds of sampler live behind the one interface:
 
-* **suggest-based samplers** (TPE, CMA-ES-lite, QMC, …) implement
-  :meth:`BaseSampler.suggest` and inherit the default
-  :meth:`BaseSampler.run_search`, which drives them through the generic
+* **suggest-based samplers** (random, grid, hill climbing, annealing,
+  TPE, CMA-ES-lite, QMC) implement :meth:`BaseSampler.suggest` and
+  inherit the default :meth:`BaseSampler.run_search`, which drives them
+  through the generic
   :class:`~repro.search.samplers.driver.SamplerSearch` loop — resume
   replay, breaker quarantine, telemetry, and per-iteration seed streams
   included;
-* **engine adapters** (GP-BO, batch BO, random, grid, local search)
-  override :meth:`run_search` to construct their legacy engine exactly as
-  the executor always has, byte-for-byte — the refactor that re-homed
-  them here changed no fingerprint and no Table-III ledger number.
+* **engine adapters** (GP-BO, batch BO) override :meth:`run_search` to
+  construct their optimizer exactly as the executor always has,
+  byte-for-byte, so every GP-BO fingerprint and simulated Table-III
+  ledger number is unchanged.
 
-The candidate-validity check that grid and random search used to
-duplicate lives here too (:meth:`BaseSampler.candidate_is_valid`): one
-definition of "this configuration may be evaluated" shared by every
-engine — in-domain, constraint-satisfying (conditional masking included
-via ``space.is_valid``), and not quarantined by the circuit breaker.
+The candidate-validity check lives here too
+(:meth:`BaseSampler.candidate_is_valid`): one definition of "this
+configuration may be evaluated" that the driver applies to every
+proposal — in-domain, constraint-satisfying (conditional masking
+included via ``space.is_valid``), and not quarantined by the circuit
+breaker.
 """
 
 from __future__ import annotations
@@ -146,14 +148,18 @@ class BaseSampler(ABC):
     # The suggest API
     # ------------------------------------------------------------------
     def prepare(
-        self, space: "SearchSpace", seed_seq: np.random.SeedSequence
+        self,
+        space: "SearchSpace",
+        seed_seq: np.random.SeedSequence,
+        budget: int,
     ) -> None:
         """One-time hook before a search run (and after a resume).
 
         ``seed_seq`` is a run-stable stream: it depends only on the
         member's seed, never on how far the search progressed, so state
         derived here (e.g. QMC scrambling) is identical across a
-        kill-and-resume boundary.  Default: no-op.
+        kill-and-resume boundary.  ``budget`` is the member's evaluation
+        budget (grid stride, annealing schedule).  Default: no-op.
         """
 
     @abstractmethod
@@ -162,8 +168,8 @@ class BaseSampler(ABC):
         history: Sequence["Evaluation"],
         space: "SearchSpace",
         rng: np.random.Generator,
-    ) -> dict[str, Any]:
-        """Propose the next configuration.
+    ) -> dict[str, Any] | None:
+        """Propose the next configuration, or ``None`` to end the search.
 
         ``history`` is the full evaluation record so far (failures
         included, in database order), ``rng`` a per-iteration generator
@@ -172,6 +178,7 @@ class BaseSampler(ABC):
         bit-identical across kill-and-resume and parallel/sequential
         execution.  The returned configuration need not be feasible; the
         driver filters through :meth:`candidate_is_valid` and retries.
+        ``None`` ends a finite design (an exhausted grid).
         """
 
     # ------------------------------------------------------------------
@@ -185,15 +192,15 @@ class BaseSampler(ABC):
 
         ``space.is_valid`` covers domains, constraints, and conditional
         masking; the optional circuit ``breaker`` vetoes quarantined
-        cells.  Grid search, random search, and the generic driver all
-        route through here instead of re-implementing the filter.
+        cells.  The driver routes every proposal through here, and the
+        grid sampler its enumeration, instead of re-implementing it.
         """
         if not space.is_valid(config):
             return False
         return breaker is None or breaker.allows(config)
 
     # ------------------------------------------------------------------
-    # Execution: default = the generic driver; adapters override
+    # Execution: default = the generic driver; the BO adapters override
     # ------------------------------------------------------------------
     @classmethod
     def run_search(

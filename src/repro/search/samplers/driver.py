@@ -1,8 +1,8 @@
 """The generic search loop that drives suggest-based samplers.
 
-:class:`SamplerSearch` gives every :meth:`BaseSampler.suggest`
-implementation the full robustness and determinism contract the legacy
-engines earn individually:
+:class:`SamplerSearch` is the one execution loop of every engine except
+the two GP-based optimizers.  It gives each :meth:`BaseSampler.suggest`
+implementation the full robustness and determinism contract:
 
 * **Per-iteration seed streams** — iteration *i* (the proposal for
   database record *i*) draws from an RNG derived as
@@ -26,6 +26,8 @@ engines earn individually:
 * **Shared validity filter** — every proposal passes
   :meth:`BaseSampler.candidate_is_valid` (domains, constraints,
   conditional masking, breaker quarantine) before it is evaluated.
+* **Finite designs** — a sampler returning ``None`` (an exhausted grid)
+  ends the search, as a fully quarantined space does.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ...bo.history import EvaluationDatabase
+from ...bo.history import Evaluation, EvaluationDatabase
 from ...faults.breaker import CircuitBreaker, persist_breaker, restore_breaker
 from ...faults.taxonomy import failure_kind_of
 from ...log import get_logger
+from ...telemetry.core import config_hash
 from ..evaluate import evaluate_config, schedule_makespan
 from ..result import SearchResult
-from ..tracing import emit_eval
 from .base import BaseSampler, unsupported_features
 
 __all__ = ["SamplerSearch"]
@@ -49,8 +51,35 @@ __all__ = ["SamplerSearch"]
 logger = get_logger("search")
 
 #: Suggestion retries per iteration before falling back to uniform
-#: feasible sampling (mirrors the legacy engines' redraw budget).
+#: feasible sampling (also the breaker's redraw budget).
 _SUGGEST_RETRIES = 64
+
+
+def emit_eval(
+    tracer: Any, index: int, rec: Evaluation, best_seen: float | None
+) -> float | None:
+    """Emit one ``eval`` event keyed by database index.
+
+    Returns the updated best-so-far over OK records (the event's ``best``
+    field), which the caller threads through subsequent calls.
+    """
+    if rec.ok and (best_seen is None or rec.objective < best_seen):
+        best_seen = float(rec.objective)
+    kind = failure_kind_of(rec)
+    extra: dict[str, Any] = {}
+    if rec.meta.get("cache_hit"):
+        extra["cache_hit"] = True
+    tracer.eval_event(
+        index,
+        objective=float(rec.objective),
+        cost=float(rec.cost),
+        status=rec.status,
+        best=best_seen,
+        failure_kind=kind.value if kind is not None else None,
+        cfg_hash=config_hash(rec.config),
+        **extra,
+    )
+    return best_seen
 
 
 class SamplerSearch:
@@ -58,12 +87,41 @@ class SamplerSearch:
 
     Parameters
     ----------
-    space, objective, max_evaluations, parallelism, evaluation_timeout,
-    quarantine_threshold / quarantine_resolution, database, tracer:
-        As in :class:`~repro.search.random_search.RandomSearch`.
+    space, objective:
+        As in :class:`repro.bo.BayesianOptimizer`.
     sampler:
         The :class:`~repro.search.samplers.base.BaseSampler` providing
         proposals.
+    max_evaluations:
+        Number of configurations to evaluate (defaults to the paper's
+        ``10 x num_parameters``); fewer when the sampler's design ends
+        early or the reachable space is fully quarantined.
+    parallelism:
+        Width of the simulated evaluation pool; search time is the length
+        of the critical path under greedy list scheduling (equal to
+        ``sum/parallelism`` when costs are uniform).  ``None`` means fully
+        parallel (one slot per evaluation).
+    evaluation_timeout:
+        *Simulated* kill switch: evaluations whose returned value exceeds
+        this budget are recorded TIMEOUT (``meta["timeout_kind"] =
+        "simulated"``).  A genuinely hanging objective is the watchdog's
+        job (wrap it in :class:`repro.faults.WatchdogObjective`, as the
+        campaign executor does for ``SearchSpec.wall_timeout``); the
+        watchdog's :class:`~repro.faults.EvaluationTimeoutError` is
+        recorded here as a ``"wallclock"`` TIMEOUT.  See
+        :mod:`repro.search.result` for the full semantics.
+    quarantine_threshold / quarantine_resolution:
+        Circuit breaker over space cells (see
+        :class:`repro.faults.CircuitBreaker`); after the threshold of
+        PERMANENT/NUMERIC failures in one cell, proposals landing there
+        are discarded and redrawn.  ``None`` disables.
+    database:
+        Optional (checkpointed) :class:`~repro.bo.EvaluationDatabase`;
+        records already present are replayed, not re-run.
+    tracer:
+        Optional :class:`repro.telemetry.Tracer` (pure observer —
+        ``evaluation`` spans plus one ``eval`` event per database record,
+        replayed records included).  ``None`` (default) disables.
     random_state:
         Seed material: a :class:`numpy.random.SeedSequence` is used
         as-is (the campaign executor path); a Generator contributes one
@@ -160,13 +218,16 @@ class SamplerSearch:
         filter are discarded and re-asked.  After the budget — or
         immediately, under capability fallback — uniform feasible
         sampling takes over, with the breaker's own redraw loop on top.
-        ``None`` once the reachable space appears fully quarantined.
+        ``None`` when the sampler's design is exhausted or the reachable
+        space appears fully quarantined.
         """
         rng = self._iter_rng(index)
         history = self.database.records
         if not self._fallback_features:
             for _ in range(_SUGGEST_RETRIES):
                 cfg = self.sampler.suggest(history, self.space, rng)
+                if cfg is None:
+                    return None
                 if self.sampler.candidate_is_valid(self.space, cfg, self.breaker):
                     return cfg
                 if self.breaker is not None and self.space.is_valid(cfg):
@@ -197,7 +258,7 @@ class SamplerSearch:
             )
             warnings.warn(msg, UserWarning, stacklevel=2)
             logger.warning(msg)
-        self.sampler.prepare(self.space, self._stream(0))
+        self.sampler.prepare(self.space, self._stream(0), self.max_evaluations)
         best_seen: float | None = None
         if self.tracer is not None:
             # Re-emit eval events for replayed records (resume support):

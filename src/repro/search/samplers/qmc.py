@@ -120,8 +120,9 @@ class QMCSampler(BaseSampler):
         self._last: tuple[int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    def prepare(self, space, seed_seq: np.random.SeedSequence) -> None:
-        """Fix the scramble from the run-stable stream.
+    def prepare(self, space, seed_seq: np.random.SeedSequence, budget: int) -> None:
+        """Fix the scramble from the run-stable stream (``budget`` unused:
+        the sequence is open-ended).
 
         Called once per run *and* once per resume with the same seed
         material, so the scrambled sequence — and therefore every
@@ -179,5 +180,6 @@ class QMCSampler(BaseSampler):
         if self._dim != space.dimension:
             # Driver always calls prepare(); direct users get a lazy,
             # rng-seeded scramble (still deterministic per rng stream).
-            self.prepare(space, np.random.SeedSequence(int(rng.integers(0, 2**63))))
+            seed_seq = np.random.SeedSequence(int(rng.integers(0, 2**63)))
+            self.prepare(space, seed_seq, budget=0)
         return space.decode(self._point(len(history)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bo import BayesianOptimizer, EvaluationDatabase, EvaluationStatus
-from repro.search import RandomSearch
+from repro.search import RandomSampler, SamplerSearch
 from repro.space import Integer, Real, SearchSpace
 
 
@@ -23,7 +23,8 @@ class TestConvergence:
         for seed in range(3):
             bo = BayesianOptimizer(sp, quadratic, max_evaluations=30, random_state=seed)
             bo_bests.append(bo.run().best_objective)
-            rs = RandomSearch(sp, quadratic, max_evaluations=30, random_state=seed)
+            rs = SamplerSearch(sp, quadratic, RandomSampler(),
+                               max_evaluations=30, random_state=seed)
             rs_bests.append(rs.run().best_objective)
         assert np.mean(bo_bests) <= np.mean(rs_bests)
 

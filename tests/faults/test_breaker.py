@@ -229,7 +229,7 @@ class TestBreakerKillAndResume:
         from repro.bo import EvaluationDatabase
         from repro.faults.breaker import breaker_sidecar_path
         from repro.faults.injection import FaultyObjective
-        from repro.search.random_search import RandomSearch
+        from repro.search import RandomSampler, SamplerSearch
 
         plan = FaultPlan(poison=(PoisonRegion({"x": [0.0, 0.2499]}),))
         ckpt = tmp_path / "KR.jsonl"
@@ -238,9 +238,10 @@ class TestBreakerKillAndResume:
             # Threshold high enough never to trip: the state at stake is
             # the *partial* per-cell counts only the sidecar preserves
             # exactly.
-            return RandomSearch(
+            return SamplerSearch(
                 space_1d("KR"),
                 FaultyObjective(PoisonAware(), plan),
+                RandomSampler(),
                 max_evaluations=20,
                 quarantine_threshold=50,
                 quarantine_resolution=4,

@@ -62,10 +62,12 @@ class TestWatchdogObjective:
 class TestWatchdogInCampaign:
     def test_hangs_recorded_as_wallclock_timeouts_in_checkpoint(self, tmp_path):
         space = SearchSpace([Real("a", 0.0, 1.0)], name="W")
+        # Scrambled Sobol' puts its first two points in different halves
+        # of [0, 1] for every seed, so both halves are always sampled.
         spec = SearchSpec(
             space,
             HangAbove(0.5),
-            engine="random",
+            engine="qmc",
             max_evaluations=6,
             wall_timeout=0.3,
         )

@@ -31,29 +31,22 @@ from repro.space import (
     SearchSpace,
 )
 
-#: Engines that must pass the full gauntlet.  The local-search engines
-#: (hillclimb, anneal) are registered but excluded: they predate the
-#: checkpoint protocol (no evaluation database), so the resume and
-#: memoization invariants do not apply to them.
+#: Engines that must pass the full gauntlet: every registered sampler.
 GAUNTLET_ENGINES = (
     "gp-bo",
     "batch-bo",
     "random",
     "grid",
+    "hillclimb",
+    "anneal",
     "tpe",
     "cma-es-lite",
     "qmc",
 )
 
-#: Sanity guard: the gauntlet must cover every registered sampler except
-#: the explicitly exempted local-search engines.
-EXEMPT_ENGINES = ("hillclimb", "anneal")
-
 
 def gauntlet_covers_registry() -> bool:
-    return set(GAUNTLET_ENGINES) | set(EXEMPT_ENGINES) == set(
-        registered_samplers()
-    )
+    return set(GAUNTLET_ENGINES) == set(registered_samplers())
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +59,11 @@ def numeric_space(label: str = "conf") -> SearchSpace:
         [Real("x", 0.0, 1.0), Real("y", -1.0, 2.0), Integer("n", 1, 6)],
         name=label,
     )
+
+
+def unit_square(label: str = "conf-square") -> SearchSpace:
+    """``x, y`` in ``[0, 1]``: the quarantine invariant's space."""
+    return SearchSpace([Real("x", 0.0, 1.0), Real("y", 0.0, 1.0)], name=label)
 
 
 def mixed_space(label: str = "conf-mixed") -> SearchSpace:
@@ -112,6 +110,16 @@ class Bowl:
             else:
                 total += (float(value) - self.center) ** 2
         return total
+
+
+class PoisonedLeft:
+    """:class:`Bowl` that raises ``ValueError`` (a PERMANENT failure) for
+    ``x < 0.3``, so the breaker trips cells on the left edge."""
+
+    def __call__(self, cfg):
+        if cfg["x"] < 0.3:
+            raise ValueError("poisoned region")
+        return Bowl()(cfg)
 
 
 class KillAfter:

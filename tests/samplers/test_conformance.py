@@ -1,7 +1,7 @@
 """The conformance gauntlet: every registered sampler, same invariants.
 
 Each test class is one invariant; each is parametrized over
-:data:`~tests.samplers.conformance.GAUNTLET_ENGINES` (all seven
+:data:`~tests.samplers.conformance.GAUNTLET_ENGINES` (all nine
 engines) and over seeds — seed 0 always runs, the extra seeds ride in
 the CI ``sampler-conformance`` job via the ``slow`` marker.
 """
@@ -12,10 +12,10 @@ from repro.bo import EvaluationDatabase
 from repro.search import SearchCampaign, SearchSpec
 
 from .conformance import (
-    EXEMPT_ENGINES,
     GAUNTLET_ENGINES,
     Bowl,
     KillAfter,
+    PoisonedLeft,
     assert_conditional_validity,
     campaign_fingerprints,
     conditional_space,
@@ -26,6 +26,7 @@ from .conformance import (
     numeric_space,
     result_fingerprint,
     run_once,
+    unit_square,
 )
 
 SEEDS = [0, pytest.param(1, marks=pytest.mark.slow),
@@ -33,11 +34,10 @@ SEEDS = [0, pytest.param(1, marks=pytest.mark.slow),
 
 
 def test_gauntlet_covers_every_registered_sampler():
-    """A new sampler must opt into the gauntlet (or be exempted here)."""
+    """A new sampler must opt into the gauntlet; none is exempt."""
     assert gauntlet_covers_registry(), (
-        "registered samplers changed: update GAUNTLET_ENGINES (preferred) "
-        f"or EXEMPT_ENGINES in tests/samplers/conformance.py "
-        f"(exempt: {EXEMPT_ENGINES})"
+        "registered samplers changed: update GAUNTLET_ENGINES in "
+        "tests/samplers/conformance.py"
     )
 
 
@@ -90,6 +90,33 @@ class TestKillAndResume:
         )
         assert resumed.best_config == uninterrupted.best_config
         assert resumed.best_objective == uninterrupted.best_objective
+
+
+@pytest.mark.parametrize("engine", GAUNTLET_ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+class TestKillAndResumeUnderQuarantine:
+    def test_resume_after_a_trip_bit_identical(self, engine, seed, tmp_path):
+        """Breaker state and redraws must replay too: kill a search with
+        a poisoned left edge under the breaker after 15 calls (by then
+        most engines have tripped a cell), resume it from its
+        checkpoint, and require the records of an uninterrupted run."""
+
+        def spec(objective):
+            return make_spec(
+                engine, unit_square("KQ"), budget=30, objective=objective,
+                quarantine_threshold=2, quarantine_resolution=4,
+            )
+
+        uninterrupted = run_once(spec(PoisonedLeft()), seed)
+        ck = tmp_path / "member.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_once(spec(KillAfter(PoisonedLeft(), n_calls=15)), seed,
+                     checkpoint=str(ck))
+        assert 0 < len(EvaluationDatabase(ck)) < len(uninterrupted.database)
+        resumed = run_once(spec(PoisonedLeft()), seed, checkpoint=str(ck))
+        assert db_fingerprint(resumed.database) == db_fingerprint(
+            uninterrupted.database
+        )
 
 
 @pytest.mark.parametrize("engine", GAUNTLET_ENGINES)
@@ -165,7 +192,7 @@ class TestMixedSpaceSmoke:
 class TestWarmStartCapability:
     """Samplers declaring warm_start must actually use seeded history."""
 
-    @pytest.mark.parametrize("engine", ["tpe", "cma-es-lite"])
+    @pytest.mark.parametrize("engine", ["tpe", "cma-es-lite", "hillclimb", "anneal"])
     def test_seeded_history_changes_proposals(self, engine):
         # Seed enough good history at a known optimum that a model-based
         # sampler concentrates near it; the cold run cannot.

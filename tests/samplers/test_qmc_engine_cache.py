@@ -77,7 +77,7 @@ def test_cached_engine_matches_rebuild_per_point(dim, entropy, counter):
     # In order, a jump back, a jump forward, a same-index repeat.
     order = list(range(64)) + [5, 40, 40]
     for round_no in (1, 2):  # a second prepare() with the same material
-        sampler.prepare(space, seed_seq)
+        sampler.prepare(space, seed_seq, 64)
         for i in order:
             np.testing.assert_array_equal(
                 sampler._point(i), reference_point(dim, seed, i)
@@ -89,7 +89,7 @@ def test_cached_engine_matches_rebuild_per_point(dim, entropy, counter):
 
 def test_remembered_point_comes_back_as_a_copy(counter):
     sampler = QMCSampler(engine="sobol")
-    sampler.prepare(unit_space(4), np.random.SeedSequence(3))
+    sampler.prepare(unit_space(4), np.random.SeedSequence(3), 8)
     first = sampler._point(7)
     want = first.copy()
     first[:] = -1.0

@@ -1,14 +1,13 @@
 """The shared candidate-validity filter, pinned across engines.
 
-Grid search, random search, and the generic sampler driver used to each
-re-implement "may this configuration be evaluated?".  The filter now has
-exactly one definition — :meth:`BaseSampler.candidate_is_valid` — and
-these tests pin both halves of the dedup:
+"May this configuration be evaluated?" has exactly one definition —
+:meth:`BaseSampler.candidate_is_valid` — and these tests pin both halves
+of it:
 
 * the *semantics*: in-domain + constraints + conditional masking via
   ``space.is_valid``, plus an optional circuit-breaker veto;
-* the *routing*: monkeypatching the shared filter changes what grid
-  search, random search, and driver-based samplers will evaluate, which
+* the *routing*: monkeypatching the shared filter changes what the
+  grid, random, and other driver-based samplers will evaluate, which
   fails loudly if any engine regrows a private copy of the check.
 """
 
@@ -17,8 +16,7 @@ import pytest
 
 from repro.faults import CircuitBreaker
 from repro.faults.taxonomy import FailureKind
-from repro.search.grid_search import GridSearch
-from repro.search.random_search import RandomSearch
+from repro.search import GridSampler, RandomSampler, SamplerSearch
 from repro.search.samplers.base import BaseSampler
 
 from .conformance import Bowl, conditional_space, numeric_space
@@ -77,9 +75,10 @@ class TestRoutingIsShared:
 
     def test_random_search_routes_through_shared_filter(self, monkeypatch):
         calls = _veto_large_x(monkeypatch)
-        rs = RandomSearch(
+        rs = SamplerSearch(
             numeric_space(),
             Bowl(),
+            RandomSampler(),
             max_evaluations=10,
             random_state=np.random.default_rng(0),
         )
@@ -89,7 +88,9 @@ class TestRoutingIsShared:
 
     def test_grid_search_routes_through_shared_filter(self, monkeypatch):
         calls = _veto_large_x(monkeypatch)
-        gs = GridSearch(numeric_space(), Bowl(), max_evaluations=10)
+        gs = SamplerSearch(
+            numeric_space(), Bowl(), GridSampler(), max_evaluations=10
+        )
         result = gs.run()
         assert calls, "grid search bypassed the shared validity filter"
         assert len(result.database) > 0

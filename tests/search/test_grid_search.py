@@ -3,10 +3,11 @@
 import itertools
 import types
 
+import numpy as np
 import pytest
 
-from repro.search import GridSearch
-from repro.search import grid_search as grid_search_module
+from repro.search import GridSampler, SamplerSearch, schedule_makespan
+from repro.search.samplers import grid as grid_module
 from repro.space import (
     Categorical,
     ExpressionConstraint,
@@ -22,58 +23,64 @@ def small_space():
     return SearchSpace([Integer("x", 0, 4), Integer("y", 0, 4)], name="gs")
 
 
+def grid_search(space, objective, budget=None, parallelism=None, **options):
+    """Grid search on the generic driver; ``budget=None`` walks the whole
+    grid (its size is the budget)."""
+    sampler = GridSampler(**options)
+    return SamplerSearch(
+        space,
+        objective,
+        sampler,
+        max_evaluations=sampler.grid_size(space) if budget is None else budget,
+        parallelism=parallelism,
+    )
+
+
 class TestExhaustive:
     def test_finds_exact_optimum(self):
-        gs = GridSearch(small_space(), lambda c: (c["x"] - 3) ** 2 + (c["y"] - 1) ** 2 + 1)
+        gs = grid_search(small_space(), lambda c: (c["x"] - 3) ** 2 + (c["y"] - 1) ** 2 + 1)
         r = gs.run()
         assert r.best_config["x"] == 3 and r.best_config["y"] == 1
         assert r.best_objective == 1
         assert r.n_evaluations == 25
 
     def test_grid_size(self):
-        gs = GridSearch(small_space(), lambda c: 1.0)
-        assert gs.grid_size() == 25
+        assert GridSampler().grid_size(small_space()) == 25
 
     def test_constraints_skipped_not_counted_as_best(self):
         sp = SearchSpace(
             [Integer("x", 0, 4), Integer("y", 0, 4)],
             [ExpressionConstraint("x + y >= 2")],
         )
-        r = GridSearch(sp, lambda c: c["x"] + c["y"] + 0.5).run()
+        r = grid_search(sp, lambda c: c["x"] + c["y"] + 0.5).run()
         assert r.best_objective == pytest.approx(2.5)
+        assert r.n_evaluations == 22  # the grid is exhausted before the budget
 
     def test_continuous_axes_discretized(self):
         sp = SearchSpace([Real("a", 0.0, 1.0)])
-        gs = GridSearch(sp, lambda c: abs(c["a"] - 0.33) + 0.1, points_per_axis=4)
-        assert gs.grid_size() == 4
-        r = gs.run()
+        assert GridSampler(points_per_axis=4).grid_size(sp) == 4
+        r = grid_search(sp, lambda c: abs(c["a"] - 0.33) + 0.1, points_per_axis=4).run()
         assert r.best_config["a"] == pytest.approx(1 / 3, abs=0.01)
 
 
 class TestBudgeted:
     def test_strided_subset(self):
-        gs = GridSearch(small_space(), lambda c: c["x"] + c["y"] + 1, max_evaluations=10)
+        gs = grid_search(small_space(), lambda c: c["x"] + c["y"] + 1, budget=10)
         r = gs.run()
         assert r.n_evaluations <= 10
-
-    def test_hard_limit_guards_exhaustive_runs(self):
-        sp = SearchSpace([Integer(f"p{i}", 0, 9) for i in range(8)])  # 10^8
-        gs = GridSearch(sp, lambda c: 1.0, hard_limit=1000)
-        with pytest.raises(RuntimeError, match="hard_limit"):
-            gs.run()
 
     def test_infeasible_grid_raises(self):
         sp = SearchSpace(
             [Integer("x", 0, 4)], [ExpressionConstraint("x > 100")]
         )
         with pytest.raises(RuntimeError, match="no feasible"):
-            GridSearch(sp, lambda c: 1.0).run()
+            grid_search(sp, lambda c: 1.0).run()
 
 
 class TestValidation:
     def test_points_per_axis(self):
         with pytest.raises(ValueError):
-            GridSearch(small_space(), lambda c: 1.0, points_per_axis=1)
+            GridSampler(points_per_axis=1)
 
     def test_failures_recorded(self):
         def flaky(c):
@@ -81,29 +88,35 @@ class TestValidation:
                 raise RuntimeError("boom")
             return float(c["x"] + c["y"] + 1)
 
-        r = GridSearch(small_space(), flaky).run()
+        r = grid_search(small_space(), flaky).run()
         assert r.best_config["x"] != 2
         assert any(not rec.ok for rec in r.database)
 
     def test_ordinal_axes_native_grid(self):
         sp = SearchSpace([Ordinal("u", [1, 2, 4, 8])])
-        gs = GridSearch(sp, lambda c: 1.0 / c["u"])
-        r = gs.run()
+        r = grid_search(sp, lambda c: 1.0 / c["u"]).run()
         assert r.best_config["u"] == 8
         assert r.n_evaluations == 4
 
 
-def product_walk(gs):
+def product_walk(sampler, space, budget):
     """The strided enumeration as ``_iter_grid`` used to walk it: every
     grid tuple in ``itertools.product`` order, keeping each stride-th."""
-    names = gs.space.names
-    total = gs.grid_size()
-    stride = max(1, total // (gs.max_evaluations or total))
+    names = space.names
+    total = sampler.grid_size(space)
+    stride = max(1, total // budget)
     return [
         dict(zip(names, combo))
-        for i, combo in enumerate(itertools.product(*gs._axes()))
+        for i, combo in enumerate(itertools.product(*sampler.axes(space)))
         if i % stride == 0
     ]
+
+
+def varied_cost(cfg):
+    """A deterministic objective whose costs differ between points."""
+    return 1.0 + sum(
+        len(v) if isinstance(v, str) else abs(float(v)) for v in cfg.values()
+    ) % 5.0
 
 
 class TestDirectIndexing:
@@ -129,10 +142,35 @@ class TestDirectIndexing:
     @pytest.mark.parametrize("budget", [None, 1, 3, 7, 16, 50, 1000])
     @pytest.mark.parametrize("space_name", sorted(SPACES))
     def test_matches_the_product_walk(self, space_name, budget):
-        gs = GridSearch(
-            self.SPACES[space_name](), lambda c: 1.0, max_evaluations=budget
+        space = self.SPACES[space_name]()
+        sampler = GridSampler()
+        if budget is None:
+            budget = sampler.grid_size(space)
+        assert list(sampler.strided(space, budget)) == product_walk(
+            sampler, space, budget
         )
-        assert list(gs._iter_grid()) == product_walk(gs)
+
+    @pytest.mark.parametrize("parallelism", [None, 2])
+    @pytest.mark.parametrize("budget", [1, 3, 7, 16, 50])
+    @pytest.mark.parametrize("space_name", sorted(SPACES))
+    def test_records_are_the_feasible_product_walk(
+        self, space_name, budget, parallelism
+    ):
+        """The driver evaluates the walk's feasible points in order, stops
+        at the budget or the walk's end (1 of 3 and 2 of 7 points on the
+        constrained "mixed" space), and reports the makespan of their
+        costs."""
+        space = self.SPACES[space_name]()
+        want = [
+            cfg for cfg in product_walk(GridSampler(), space, budget)
+            if space.is_valid(cfg)
+        ][:budget]
+        r = grid_search(space, varied_cost, budget=budget, parallelism=parallelism).run()
+        complete = getattr(space, "complete", dict)
+        assert [rec.config for rec in r.database] == [complete(c) for c in want]
+        costs = np.array([varied_cost(complete(c)) for c in want])
+        assert [rec.cost for rec in r.database] == list(costs)
+        assert r.search_time == schedule_makespan(costs, parallelism or len(want))
 
     def test_budgeted_20d_grid_finishes(self, monkeypatch):
         """4^20 ~ 1.1e12 grid points with a stride of ~6.9e10: the 16
@@ -149,14 +187,13 @@ class TestDirectIndexing:
                 yield combo
 
         monkeypatch.setattr(
-            grid_search_module,
+            grid_module,
             "itertools",
             types.SimpleNamespace(product=bounded_product),
             raising=False,
         )
         app = SyntheticFunction(case=1)
-        gs = GridSearch(app.search_space(), app, max_evaluations=16)
-        assert gs.grid_size() == 4**20
-        r = gs.run()
+        assert GridSampler().grid_size(app.search_space()) == 4**20
+        r = grid_search(app.search_space(), app, budget=16).run()
         assert r.n_evaluations == 16
         assert pulled <= 100_000

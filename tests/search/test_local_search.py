@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.search import HillClimbing, RandomSearch, SimulatedAnnealing
+from repro.search import (
+    AnnealSampler,
+    HillClimbSampler,
+    RandomSampler,
+    SamplerSearch,
+)
 from repro.space import ExpressionConstraint, Integer, Ordinal, SearchSpace
+
+
+def hill_climbing(space, objective, **kwargs):
+    return SamplerSearch(space, objective, HillClimbSampler(), **kwargs)
+
+
+def annealing(space, objective, **kwargs):
+    return SamplerSearch(space, objective, AnnealSampler(), **kwargs)
 
 
 def discrete_space():
@@ -19,15 +32,15 @@ def bowl(c):
 
 class TestHillClimbing:
     def test_descends_to_optimum(self):
-        r = HillClimbing(discrete_space(), bowl, max_evaluations=150,
-                         random_state=0).run()
+        r = hill_climbing(discrete_space(), bowl, max_evaluations=150,
+                          random_state=0).run()
         assert r.best_objective == pytest.approx(1.0)
         assert r.best_config["x"] == 13 and r.best_config["y"] == 6
 
     def test_budget_respected(self):
-        r = HillClimbing(discrete_space(), bowl, max_evaluations=37,
-                         random_state=0).run()
-        assert r.n_evaluations <= 37 + 4  # may finish the neighbor scan
+        r = hill_climbing(discrete_space(), bowl, max_evaluations=37,
+                          random_state=0).run()
+        assert r.n_evaluations == 37
 
     def test_restarts_escape_local_minima(self):
         """A two-basin objective: restarts must eventually find the
@@ -37,8 +50,8 @@ class TestHillClimbing:
             b = (c["x"] - 17) ** 2 + (c["y"] - 17) ** 2 + 1.0
             return min(a, b)
 
-        r = HillClimbing(discrete_space(), two_basins, max_evaluations=400,
-                         random_state=1).run()
+        r = hill_climbing(discrete_space(), two_basins, max_evaluations=400,
+                          random_state=1).run()
         assert r.best_objective == pytest.approx(1.0)
 
     def test_respects_constraints(self):
@@ -46,7 +59,7 @@ class TestHillClimbing:
             [Integer("x", 0, 20), Integer("y", 0, 20)],
             [ExpressionConstraint("x + y <= 20")],
         )
-        r = HillClimbing(sp, bowl, max_evaluations=120, random_state=0).run()
+        r = hill_climbing(sp, bowl, max_evaluations=120, random_state=0).run()
         for rec in r.database:
             assert rec.config["x"] + rec.config["y"] <= 20
 
@@ -56,46 +69,45 @@ class TestHillClimbing:
                 raise RuntimeError("boom")
             return bowl(c)
 
-        r = HillClimbing(discrete_space(), flaky, max_evaluations=120,
-                         random_state=0).run()
+        r = hill_climbing(discrete_space(), flaky, max_evaluations=120,
+                          random_state=0).run()
         assert r.best_config["x"] != 10
 
 
 class TestSimulatedAnnealing:
     def test_finds_optimum_on_bowl(self):
-        r = SimulatedAnnealing(discrete_space(), bowl, max_evaluations=400,
-                               random_state=0).run()
+        r = annealing(discrete_space(), bowl, max_evaluations=400,
+                      random_state=0).run()
         assert r.best_objective <= 3.0  # near the basin floor
 
     def test_beats_or_matches_random(self):
         sa_best, rs_best = [], []
         for seed in range(3):
-            sa = SimulatedAnnealing(discrete_space(), bowl,
-                                    max_evaluations=150, random_state=seed).run()
-            rs = RandomSearch(discrete_space(), bowl, max_evaluations=150,
-                              random_state=seed).run()
+            sa = annealing(discrete_space(), bowl,
+                           max_evaluations=150, random_state=seed).run()
+            rs = SamplerSearch(discrete_space(), bowl, RandomSampler(),
+                               max_evaluations=150, random_state=seed).run()
             sa_best.append(sa.best_objective)
             rs_best.append(rs.best_objective)
         assert np.mean(sa_best) <= np.mean(rs_best) + 1.0
 
     def test_temperature_schedule(self):
-        sa = SimulatedAnnealing(discrete_space(), bowl, max_evaluations=100,
-                                t_initial=1.0, t_final=0.01, random_state=0)
+        sa = AnnealSampler(t_initial=1.0, t_final=0.01)
+        sa.prepare(discrete_space(), np.random.SeedSequence(0), 100)
         assert sa._temperature(0) == pytest.approx(1.0)
         assert sa._temperature(99) == pytest.approx(0.01)
         assert sa._temperature(50) < sa._temperature(10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SimulatedAnnealing(discrete_space(), bowl, t_initial=0.0)
+            AnnealSampler(t_initial=0.0)
         with pytest.raises(ValueError):
-            SimulatedAnnealing(discrete_space(), bowl,
-                               t_initial=0.1, t_final=0.5)
+            AnnealSampler(t_initial=0.1, t_final=0.5)
         with pytest.raises(ValueError):
-            HillClimbing(discrete_space(), bowl, max_evaluations=0)
+            hill_climbing(discrete_space(), bowl, max_evaluations=0)
 
     def test_ordinal_space(self):
         sp = SearchSpace([Ordinal("u", [1, 2, 4, 8, 16])], name="ord")
-        r = SimulatedAnnealing(sp, lambda c: abs(c["u"] - 8) + 1.0,
-                               max_evaluations=40, random_state=0).run()
+        r = annealing(sp, lambda c: abs(c["u"] - 8) + 1.0,
+                      max_evaluations=40, random_state=0).run()
         assert r.best_config["u"] == 8
